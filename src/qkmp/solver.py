@@ -22,12 +22,7 @@ from .instance import KeyAssignment, KmpInstance, evaluate
 
 OPTIMAL = "OPTIMAL"
 FEASIBLE_TIMEOUT = "FEASIBLE_TIMEOUT"
-# Never produced: the all-zero assignment is feasible for every valid
-# instance, so a solve always has an incumbent.
-INFEASIBLE_NONE = "INFEASIBLE_NONE"
 ERROR = "ERROR"
-
-BRANCH_DEGREE_KEY = "degree_key"
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -43,14 +38,11 @@ class InstanceTooLargeError(ValueError):
 class SolverConfig:
     time_limit: float = 3600.0
     seed: int = 0
-    branch_rule: str = BRANCH_DEGREE_KEY
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.branch_rule != BRANCH_DEGREE_KEY:
-            raise ValueError(f"unknown branch rule {self.branch_rule!r}")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive when given")
 
@@ -137,17 +129,28 @@ class _State:
         self.usage = [0] * self.K
         self.mem = [0.0] * g.n
         self.cnt = [[0] * self.K for _ in range(g.n)]  # fixed-1 neighbors per (i, k)
+        # neighbors not fixed to 0 per (i, k): the co-holder candidates
+        self.nz = [[len(self.adj[i])] * self.K for i in range(g.n)]
         self.shared = [0] * len(self.edges)  # keys fixed to 1 on both endpoints
+        self.secured = 0  # edges with shared >= q
         self.pair_count = [0] * self.K  # edges whose endpoints both hold k
         self.trail: list[tuple] = []
         # key order by memory footprint, for vertex budget estimation
         self.keys_by_mem = sorted(range(self.K), key=lambda k: (inst.mem_per_key[k], k))
 
-    def ring_mem(self, v: int) -> float:
-        """Fresh capacity lhs, summed the same way the validator sums it."""
+    def ring_mem(self, v: int, extra: int = -1) -> float:
+        """Capacity lhs of v's ring plus key ``extra``, summed in key-index
+        order exactly as the validator sums it."""
+        row = self.val[v]
         return sum(
-            self.inst.mem_per_key[k] for k in range(self.K) if self.val[v][k] == 1
+            self.inst.mem_per_key[k]
+            for k in range(self.K)
+            if row[k] == 1 or k == extra
         )
+
+    def fits(self, v: int, k: int) -> bool:
+        """The one capacity predicate: does key k fit on v's current ring?"""
+        return self.ring_mem(v, k) <= self.inst.capacity[v]
 
     def fix(self, v: int, k: int, value: int) -> bool:
         """Fix one cell and propagate to a fixpoint. False means conflict."""
@@ -162,21 +165,22 @@ class _State:
             self.val[pv][pk] = pval
             self.trail.append(("val", pv, pk))
             if pval == 0:
+                for u in self.adj[pv]:
+                    self.nz[u][pk] -= 1
                 continue
 
             # one-fixes carry all the constraint weight
             inst = self.inst
             if self.usage[pk] + 1 > inst.usage_limit[pk]:
                 return False
-            fresh = self.ring_mem(pv)
-            if fresh > inst.capacity[pv]:
+            if not self.fits(pv, pk):
                 return False
             if self.cnt[pv][pk] > self.ncap[pv]:
                 return False
             self.usage[pk] += 1
             self.trail.append(("usage", pk))
             self.trail.append(("mem", pv, self.mem[pv]))
-            self.mem[pv] = fresh
+            self.mem[pv] = self.ring_mem(pv)
 
             for u in self.adj[pv]:
                 self.cnt[u][pk] += 1
@@ -187,6 +191,8 @@ class _State:
                         return False
                     e = self.edge_id[(min(pv, u), max(pv, u))]
                     self.shared[e] += 1
+                    if self.shared[e] == inst.q:
+                        self.secured += 1
                     self.pair_count[pk] += 1
                     self.trail.append(("shared", e, pk))
                 elif uval == -1 and self.cnt[u][pk] > self.ncap[u]:
@@ -223,7 +229,11 @@ class _State:
             rec = self.trail.pop()
             kind = rec[0]
             if kind == "val":
-                self.val[rec[1]][rec[2]] = -1
+                v, k = rec[1], rec[2]
+                if self.val[v][k] == 0:
+                    for u in self.adj[v]:
+                        self.nz[u][k] += 1
+                self.val[v][k] = -1
             elif kind == "cnt":
                 self.cnt[rec[1]][rec[2]] -= 1
             elif kind == "usage":
@@ -231,12 +241,13 @@ class _State:
             elif kind == "mem":
                 self.mem[rec[1]] = rec[2]
             elif kind == "shared":
+                if self.shared[rec[1]] == self.inst.q:
+                    self.secured -= 1
                 self.shared[rec[1]] -= 1
                 self.pair_count[rec[2]] -= 1
 
     def secured_now(self) -> int:
-        q = self.inst.q
-        return sum(1 for s in self.shared if s >= q)
+        return self.secured
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern; always feasible."""
@@ -248,15 +259,17 @@ class _State:
     def vertex_budgets(self) -> list[int]:
         """How many more keys could possibly fit on each vertex."""
         inst = self.inst
+        mem = inst.mem_per_key
         budgets = []
         for v in range(self.n):
             left = inst.capacity[v] - self.mem[v]
+            row = self.val[v]
             r = 0
             total = 0.0
             for k in self.keys_by_mem:
-                if self.val[v][k] != -1:
+                if row[k] != -1:
                     continue
-                total += inst.mem_per_key[k]
+                total += mem[k]
                 if total > left:
                     break
                 r += 1
@@ -273,18 +286,23 @@ class _State:
         can still join the ring.
         """
         inst = self.inst
+        rows = list(zip(self.val, self.nz, self.ncap))
         caps = []
         for k in range(self.K):
             t_k = inst.usage_limit[k]
             remaining = t_k - self.usage[k]
             weight_sum = 0
             addable: list[int] = []
-            for v in range(self.n):
-                state = self.val[v][k]
+            for val_v, nz_v, ncap_v in rows:
+                state = val_v[k]
                 if state == 0:
                     continue
-                co_holders = sum(1 for u in self.adj[v] if self.val[u][k] != 0)
-                w = min(self.ncap[v], co_holders, t_k - 1)
+                # min(ncap_v, nz_v[k], t_k - 1), without the call overhead
+                w = nz_v[k]
+                if w > ncap_v:
+                    w = ncap_v
+                if w >= t_k:
+                    w = t_k - 1
                 if state == 1:
                     weight_sum += w
                 elif w > 0:
@@ -353,48 +371,69 @@ class _State:
         inst = self.inst
         q = inst.q
         budgets = self.vertex_budgets()
+        usage, limit, ncap = self.usage, inst.usage_limit, self.ncap
         total = 0
         for e, (i, j) in enumerate(self.edges):
             s = self.shared[e]
             if s >= q:
                 total += 1
                 continue
+            need = q - s
+            bi, bj = budgets[i], budgets[j]
+            if bi + bj < need:
+                continue  # every completion adds at most bi + bj shared keys
             need_i_only = 0  # key held by j, addable at i
             need_j_only = 0
             need_both = 0
+            # min(need_i_only, bi) + min(need_j_only, bj): one-sided keys alone
+            one_sided = 0
             vi_row, vj_row = self.val[i], self.val[j]
             cnt_i, cnt_j = self.cnt[i], self.cnt[j]
+            ncap_i, ncap_j = ncap[i], ncap[j]
+            # stop as soon as the edge is provably securable; more keys only
+            # raise the best completion, so the count is the same either way
             for k in range(self.K):
                 vi, vj = vi_row[k], vj_row[k]
                 if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
                     continue
                 if vi == 1:
-                    if self.usage[k] + 1 > inst.usage_limit[k]:
+                    if usage[k] + 1 > limit[k]:
                         continue
-                    if cnt_j[k] > self.ncap[j] or cnt_i[k] + 1 > self.ncap[i]:
+                    if cnt_j[k] > ncap_j or cnt_i[k] + 1 > ncap_i:
                         continue
                     need_j_only += 1
+                    if need_j_only <= bj:
+                        one_sided += 1
+                        if one_sided >= need:
+                            break
                 elif vj == 1:
-                    if self.usage[k] + 1 > inst.usage_limit[k]:
+                    if usage[k] + 1 > limit[k]:
                         continue
-                    if cnt_i[k] > self.ncap[i] or cnt_j[k] + 1 > self.ncap[j]:
+                    if cnt_i[k] > ncap_i or cnt_j[k] + 1 > ncap_j:
                         continue
                     need_i_only += 1
+                    if need_i_only <= bi:
+                        one_sided += 1
+                        if one_sided >= need:
+                            break
                 else:
-                    if self.usage[k] + 2 > inst.usage_limit[k]:
+                    if usage[k] + 2 > limit[k]:
                         continue
-                    if cnt_i[k] + 1 > self.ncap[i] or cnt_j[k] + 1 > self.ncap[j]:
+                    if cnt_i[k] + 1 > ncap_i or cnt_j[k] + 1 > ncap_j:
                         continue
                     need_both += 1
-            bi, bj = budgets[i], budgets[j]
-            best = 0
-            for c in range(min(need_both, bi, bj) + 1):
-                a = min(need_i_only, bi - c)
-                b = min(need_j_only, bj - c)
-                if a + b + c > best:
-                    best = a + b + c
-            if s + best >= q:
-                total += 1
+                    if need_both >= need and bi >= need and bj >= need:
+                        break
+            else:
+                best = 0
+                for c in range(min(need_both, bi, bj) + 1):
+                    a = min(need_i_only, bi - c)
+                    b = min(need_j_only, bj - c)
+                    if a + b + c > best:
+                        best = a + b + c
+                if best < need:
+                    continue
+            total += 1
         caps = self.key_pair_caps()
         total = min(total, sum(caps) // q)
         if q == 1:
@@ -421,7 +460,7 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
             return False
         if st.usage[k] + 1 > inst.usage_limit[k]:
             return False
-        if st.ring_mem(v) + inst.mem_per_key[k] > inst.capacity[v]:
+        if not st.fits(v, k):
             return False
         if st.cnt[v][k] > st.ncap[v]:
             return False
@@ -430,25 +469,28 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                 return False
         return True
 
+    # st.mem is left stale: the heuristic checks capacity through st.fits
     def place(v: int, k: int) -> None:
         st.val[v][k] = 1
         st.usage[k] += 1
-        st.mem[v] = st.ring_mem(v)
         for u in st.adj[v]:
             st.cnt[u][k] += 1
             if st.val[u][k] == 1:
                 e = st.edge_id[(min(u, v), max(u, v))]
                 st.shared[e] += 1
+                if st.shared[e] == q:
+                    st.secured += 1
                 st.pair_count[k] += 1
 
     def unplace(v: int, k: int) -> None:
         st.val[v][k] = -1
         st.usage[k] -= 1
-        st.mem[v] = st.ring_mem(v)
         for u in st.adj[v]:
             st.cnt[u][k] -= 1
             if st.val[u][k] == 1:
                 e = st.edge_id[(min(u, v), max(u, v))]
+                if st.shared[e] == q:
+                    st.secured -= 1
                 st.shared[e] -= 1
                 st.pair_count[k] -= 1
 
@@ -494,9 +536,6 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
 
     # 1-swap local search: replace one ring key with one absent key when the
     # move is feasible and strictly increases the secured-edge count
-    def objective() -> int:
-        return st.secured_now()
-
     improved = True
     passes = 0
     while improved and passes < 2 * g.n:
@@ -509,13 +548,13 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                 for b in range(K):
                     if st.val[v][b] == 1 or b == a:
                         continue
-                    if not any(st.val[u][b] == 1 for u in st.adj[v]):
+                    if st.cnt[v][b] == 0:  # no neighbor holds b
                         continue
-                    before = objective()
+                    before = st.secured
                     unplace(v, a)
                     if can_hold(v, b):
                         place(v, b)
-                        if objective() > before:
+                        if st.secured > before:
                             improved = True
                             break
                         unplace(v, b)
@@ -571,13 +610,15 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
                 return True
         return st.val[v][k - 1] == 1
 
-    best_obj = -1
-    best_rows: tuple[tuple[int, ...], ...] = ()
+    # the all-zero assignment is feasible for every valid instance
+    best_obj = 0
+    best_rows = KeyAssignment.zeros(inst.graph.n, K).x
     for restart in range(GREEDY_RESTARTS):
         warm = greedy_heuristic(inst, cfg.seed + restart)
-        warm_obj = evaluate(inst, warm).objective
-        if warm_obj > best_obj:
-            best_obj = warm_obj
+        report = evaluate(inst, warm)
+        # an infeasible warm start must never become the incumbent
+        if report.feasible and report.objective > best_obj:
+            best_obj = report.objective
             best_rows = warm.x
 
     nodes = 0

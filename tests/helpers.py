@@ -197,3 +197,92 @@ def isolated_node_scenario():
         [0, 0, 0, 1],
     ]
     return inst, KeyAssignment.from_rows(rows)
+
+
+# --- from-scratch references for the incremental counters of solver._State ---
+
+
+def rescan_nz(st) -> list[list[int]]:
+    """Per (vertex, key): neighbors not fixed to 0, counted afresh."""
+    return [
+        [sum(1 for u in st.adj[v] if st.val[u][k] != 0) for k in range(st.K)]
+        for v in range(st.n)
+    ]
+
+
+def rescan_secured(st) -> int:
+    """Edges whose endpoints share at least q fixed keys, counted afresh."""
+    return sum(s >= st.inst.q for s in st.shared)
+
+
+def rescan_key_pair_caps(st) -> list[int]:
+    """key_pair_caps with co-holder candidates recounted from val."""
+    inst = st.inst
+    caps = []
+    for k in range(st.K):
+        t_k = inst.usage_limit[k]
+        remaining = t_k - st.usage[k]
+        weight_sum = 0
+        addable = []
+        for v in range(st.n):
+            state = st.val[v][k]
+            if state == 0:
+                continue
+            co_holders = sum(1 for u in st.adj[v] if st.val[u][k] != 0)
+            w = min(st.ncap[v], co_holders, t_k - 1)
+            if state == 1:
+                weight_sum += w
+            elif w > 0:
+                addable.append(w)
+        if remaining > 0 and addable:
+            addable.sort(reverse=True)
+            weight_sum += sum(addable[:remaining])
+        caps.append(weight_sum // 2)
+    return caps
+
+
+def rescan_bound(st) -> int:
+    """The node bound with every edge's keys walked in full, no early exit."""
+    inst = st.inst
+    q = inst.q
+    budgets = st.vertex_budgets()
+    total = 0
+    for e, (i, j) in enumerate(st.edges):
+        s = st.shared[e]
+        if s >= q:
+            total += 1
+            continue
+        need_i_only = need_j_only = need_both = 0
+        for k in range(st.K):
+            vi, vj = st.val[i][k], st.val[j][k]
+            if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
+                continue
+            if vi == 1:
+                if st.usage[k] + 1 > inst.usage_limit[k]:
+                    continue
+                if st.cnt[j][k] > st.ncap[j] or st.cnt[i][k] + 1 > st.ncap[i]:
+                    continue
+                need_j_only += 1
+            elif vj == 1:
+                if st.usage[k] + 1 > inst.usage_limit[k]:
+                    continue
+                if st.cnt[i][k] > st.ncap[i] or st.cnt[j][k] + 1 > st.ncap[j]:
+                    continue
+                need_i_only += 1
+            else:
+                if st.usage[k] + 2 > inst.usage_limit[k]:
+                    continue
+                if st.cnt[i][k] + 1 > st.ncap[i] or st.cnt[j][k] + 1 > st.ncap[j]:
+                    continue
+                need_both += 1
+        bi, bj = budgets[i], budgets[j]
+        best = 0
+        for c in range(min(need_both, bi, bj) + 1):
+            best = max(best, min(need_i_only, bi - c) + min(need_j_only, bj - c) + c)
+        if s + best >= q:
+            total += 1
+    caps = rescan_key_pair_caps(st)
+    total = min(total, sum(caps) // q)
+    if q == 1:
+        total = min(total, st.coverage_bound(caps))
+    return total

@@ -51,7 +51,6 @@ class TestSolverConfig:
         [
             {"time_limit": 0.0},
             {"time_limit": -5.0},
-            {"branch_rule": "mystery"},
             {"node_limit": 0},
         ],
     )

@@ -1,0 +1,107 @@
+"""The incremental counters of the search state against from-scratch rescans.
+
+Random fix / mark / undo_to walks on small instances, with q = 1, 2 and 3
+and with dyadic as well as non-dyadic memory weights. After every step the
+co-holder counts, the secured-edge counter, the key pair caps and the node
+bound must equal what a full rescan of the fixed pattern gives.
+"""
+
+import random
+
+import pytest
+
+from qkmp import solver
+from qkmp.instance import KmpInstance, evaluate
+
+from helpers import (
+    DYADIC_MEMS,
+    connected_random_graph,
+    rescan_bound,
+    rescan_key_pair_caps,
+    rescan_nz,
+    rescan_secured,
+)
+
+NON_DYADIC_MEMS = (0.1, 0.2, 0.3, 0.7)
+
+
+def walk_instance(rng: random.Random, q: int, mems: tuple) -> KmpInstance:
+    n = rng.randint(3, 7)
+    key_count = rng.randint(1, 5)
+    dyadic = mems is DYADIC_MEMS
+    return KmpInstance(
+        graph=connected_random_graph(rng, n, 0.6),
+        key_count=key_count,
+        q=q,
+        p=rng.choice([0.3, 0.5, 1.0]),
+        alpha=rng.randint(1, 2),
+        mem_per_key=tuple(rng.choice(mems) for _ in range(key_count)),
+        capacity=tuple(
+            float(rng.randint(1, 4)) if dyadic else rng.choice((0.3, 0.5, 0.6, 1.0, 1.5))
+            for _ in range(n)
+        ),
+        usage_limit=tuple(rng.randint(1, n) for _ in range(key_count)),
+    )
+
+
+def assert_matches_rescan(st) -> None:
+    assert st.nz == rescan_nz(st)
+    assert st.secured == st.secured_now() == rescan_secured(st)
+    assert st.key_pair_caps() == rescan_key_pair_caps(st)
+    assert st.bound() == rescan_bound(st)
+
+
+CASES = [(q, mems) for q in (1, 2, 3) for mems in (DYADIC_MEMS, NON_DYADIC_MEMS)]
+CASE_IDS = [f"q{q}-{'dyadic' if m is DYADIC_MEMS else 'nondyadic'}" for q, m in CASES]
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_random_walks_match_rescan(q, mems):
+    rng = random.Random(1000 * q + len(mems) + (mems is DYADIC_MEMS))
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        assert_matches_rescan(st)
+        marks = []
+        for _ in range(50):
+            open_cells = [
+                (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+            ]
+            if open_cells and (not marks or rng.random() < 0.6):
+                marks.append(st.mark())
+                v, k = rng.choice(open_cells)
+                ok = st.fix(v, k, 1 if rng.random() < 0.6 else 0)
+                assert_matches_rescan(st)
+                if not ok:
+                    # the search backs out of a conflict to the frame's mark
+                    st.undo_to(marks.pop())
+            else:
+                cut = rng.randrange(len(marks))
+                st.undo_to(marks[cut])
+                del marks[cut:]
+            assert_matches_rescan(st)
+        st.undo_to(0)
+        assert_matches_rescan(st)
+        assert st.secured == 0 and not st.trail
+        assert st.nz == [[len(st.adj[v])] * st.K for v in range(st.n)]
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
+    states = []
+
+    class RecordingState(solver._State):
+        def __init__(self, inst):
+            super().__init__(inst)
+            states.append(self)
+
+    monkeypatch.setattr(solver, "_State", RecordingState)
+    rng = random.Random(7 * q + len(mems))
+    for _ in range(10):
+        inst = walk_instance(rng, q, mems)
+        a = solver.greedy_heuristic(inst, seed=rng.randint(0, 99))
+        st = states[-1]
+        report = evaluate(inst, a)
+        assert report.feasible
+        assert st.secured == rescan_secured(st) == report.objective
+        assert st.nz == rescan_nz(st)
