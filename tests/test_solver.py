@@ -51,6 +51,7 @@ class TestSolverConfig:
         [
             {"time_limit": 0.0},
             {"time_limit": -5.0},
+            {"node_limit": -3},
             {"node_limit": 0},
         ],
     )
