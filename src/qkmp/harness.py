@@ -125,21 +125,25 @@ class ExperimentStats:
         return sum(objs) / len(objs)
 
 
+def _error_row(seed: int, note: str) -> InstanceRow:
+    return InstanceRow(
+        seed=seed,
+        status="ERROR",
+        objective=None,
+        bound=None,
+        gap=None,
+        wall_time=None,
+        note=note,
+    )
+
+
 def run_single(cfg: ExperimentConfig, index: int) -> InstanceRow:
     """Generate and solve instance ``index`` of a configuration."""
     seed = cfg.base_seed + index
     try:
         inst = cfg.build_instance(seed)
     except GraphError as exc:
-        return InstanceRow(
-            seed=seed,
-            status="ERROR",
-            objective=None,
-            bound=None,
-            gap=None,
-            wall_time=None,
-            note=str(exc),
-        )
+        return _error_row(seed, str(exc))
     result = solve_bb(
         inst, SolverConfig(time_limit=cfg.time_limit_seconds, seed=seed)
     )
@@ -157,7 +161,9 @@ def run_experiment(cfg: ExperimentConfig, parallel_instances: int = 1) -> Experi
     """Solve every instance of a configuration; stats in seed order.
 
     Per-instance failures become ERROR rows instead of aborting the batch.
-    The worker count changes scheduling only, never the per-instance results.
+    With a pool, that includes any exception a worker raises and a worker
+    that dies, which breaks the pool for every index still pending. The
+    worker count changes scheduling only, never the per-instance results.
     """
     if parallel_instances < 1:
         raise ValueError("parallel_instances must be at least 1")
@@ -168,8 +174,26 @@ def run_experiment(cfg: ExperimentConfig, parallel_instances: int = 1) -> Experi
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=parallel_instances
         ) as pool:
-            rows = list(pool.map(run_single, [cfg] * cfg.instance_count, indices))
+            futures = [_submit(pool, cfg, i) for i in indices]
+            rows = [_pooled_row(cfg.base_seed + i, f) for i, f in zip(indices, futures)]
     return ExperimentStats(config_id=cfg.config_id, rows=tuple(rows))
+
+
+def _submit(pool, cfg: ExperimentConfig, index: int) -> concurrent.futures.Future:
+    try:
+        return pool.submit(run_single, cfg, index)
+    except concurrent.futures.BrokenExecutor as exc:
+        # a worker already died; this index fails like the pending ones
+        failed: concurrent.futures.Future = concurrent.futures.Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def _pooled_row(seed: int, future: concurrent.futures.Future) -> InstanceRow:
+    try:
+        return future.result()
+    except Exception as exc:
+        return _error_row(seed, repr(exc))
 
 
 def _cell(v) -> str:

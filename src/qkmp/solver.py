@@ -9,6 +9,10 @@ start and is also usable on its own.
 The search never relaxes to an LP. Its node bound treats each unsatisfied
 edge as securable unless the fixed pattern, the per-key usage budgets, or
 the vertex memory budgets rule it out, which keeps the bound admissible.
+
+``brute_force`` shares no state or code with the search: it walks the codes
+in Gray-code order with counts of its own and decides feasibility with the
+same float arithmetic as ``evaluate``, so it stays an independent check.
 """
 
 from __future__ import annotations
@@ -28,6 +32,15 @@ BRUTE_FORCE_LIMIT = 24
 
 # warm-start restarts; distinct greedy seeds diversify the incumbent
 GREEDY_RESTARTS = 8
+
+# vertex_budgets compares a running sum of key weights with capacity - mem,
+# while evaluate() sums the whole ring in key-index order. Under non-dyadic
+# weights the two roundings can differ by a few ulps (0.7 - 0.2 < 0.5 although
+# 0.2 + 0.5 <= 0.7), which would budget out a key that fits and make the
+# bound inadmissible. A budget may only err upward, so the slack trades a
+# key that misses by less than this margin for admissibility; integer and
+# dyadic weights never come that close.
+BUDGET_SLACK = 1e-9
 
 
 class InstanceTooLargeError(ValueError):
@@ -82,7 +95,19 @@ def compute_gap(lower: float, upper: float) -> float:
 
 
 def brute_force(inst: KmpInstance) -> SolveResult:
-    """Enumerate all 2^(n*K) assignments; exact but exponential."""
+    """Enumerate all 2^(n*K) assignments; exact but exponential.
+
+    Cell (i, k) is bit i*K + k of a code. The codes are walked in reflected
+    Gray-code order, so each step flips one cell and updates the counts it
+    touches in O(deg) instead of re-scoring the whole matrix. The counts are
+    the oracle's own and share nothing with the search's ``_State``; the
+    feasibility arithmetic is ``evaluate``'s: ring memory is the key-index
+    order sum ``sum(mem[k] * x[i][k])`` (tabulated per ring mask, never
+    updated by adding and subtracting), the integer neighborhood count is
+    compared with the float ``neighborhood_cap``, and usage must not exceed
+    its limit. Among optimal assignments the one with the smallest code is
+    returned, as a scan in code order would.
+    """
     n, K = inst.graph.n, inst.key_count
     cells = n * K
     if cells > BRUTE_FORCE_LIMIT:
@@ -90,16 +115,74 @@ def brute_force(inst: KmpInstance) -> SolveResult:
             f"{cells} binary cells exceed the enumeration limit of {BRUTE_FORCE_LIMIT}"
         )
     start = time.perf_counter()
-    best_obj = -1
-    best_rows: tuple[tuple[int, ...], ...] = ()
-    for code in range(1 << cells):
-        rows = tuple(
-            tuple((code >> (i * K + k)) & 1 for k in range(K)) for i in range(n)
+    g = inst.graph
+    q = inst.q
+    mem = inst.mem_per_key
+    limit = inst.usage_limit
+    # over_cap[i][ring]: does ring mask `ring` break vertex i's capacity?
+    over_cap = [
+        bytearray(
+            sum(mem[k] * ((ring >> k) & 1) for k in range(K)) > inst.capacity[i]
+            for ring in range(1 << K)
         )
-        report = evaluate(inst, KeyAssignment(rows))
-        if report.feasible and report.objective > best_obj:
-            best_obj = report.objective
-            best_rows = rows
+        for i in range(n)
+    ]
+    edge_id = {e: idx for idx, e in enumerate(g.edges)}
+    # per cell (i, k): its vertex, its key, the neighborhood rhs of i, and
+    # the (neighbor cell (j, k), edge id) pairs a flip of it touches
+    vertex = [c // K for c in range(cells)]
+    key = [c % K for c in range(cells)]
+    ncap = [inst.neighborhood_cap(c // K) for c in range(cells)]
+    links = [
+        tuple(
+            (j * K + c % K, edge_id[(min(c // K, j), max(c // K, j))])
+            for j in sorted(g.adjacency[c // K])
+        )
+        for c in range(cells)
+    ]
+
+    x = [0] * cells
+    ring = [0] * n
+    usage = [0] * K
+    held_nbrs = [0] * cells  # neighbors holding key k, per cell (i, k)
+    shared = [0] * len(g.edges)
+    secured = 0  # edges with shared >= q
+    violated = sum(over_cap[i][0] for i in range(n))  # rows broken right now
+
+    code = 0
+    best_obj = secured if not violated else -1
+    best_code = 0
+    for step in range(1, 1 << cells):
+        c = (step & -step).bit_length() - 1
+        code ^= 1 << c
+        i, k = vertex[c], key[c]
+        old_ring = ring[i]
+        new_ring = ring[i] = old_ring ^ (1 << k)
+        over = over_cap[i]
+        violated += over[new_ring] - over[old_ring]
+        d = 1 - 2 * x[c]  # +1 adds key k to i's ring, -1 removes it
+        x[c] += d
+        u = usage[k]
+        usage[k] = u + d
+        violated += (u + d > limit[k]) - (u > limit[k])
+        # row (i, k) counts held_nbrs[c] while i holds k, 0 otherwise
+        violated += d * (held_nbrs[c] > ncap[c])
+        for cj, e in links[c]:
+            h = held_nbrs[cj]
+            held_nbrs[cj] = h + d
+            if x[cj]:
+                violated += (h + d > ncap[cj]) - (h > ncap[cj])
+                s = shared[e]
+                shared[e] = s + d
+                secured += (s + d >= q) - (s >= q)
+        if not violated and (
+            secured > best_obj or (secured == best_obj and code < best_code)
+        ):
+            best_obj = secured
+            best_code = code
+    best_rows = tuple(
+        tuple((best_code >> (i * K + k)) & 1 for k in range(K)) for i in range(n)
+    )
     # the all-zero assignment is always feasible, so best_obj >= 0 here
     return SolveResult(
         status=OPTIMAL,
@@ -203,10 +286,15 @@ class _State:
                 for w in range(self.n):
                     if self.val[w][pk] == -1:
                         pending.append((w, pk, 0))
-            # capacity: keys that no longer fit at pv are out
+            # capacity: keys that no longer fit at pv are out. The difference
+            # is only a cheap filter; fits() decides, as evaluate() would
             left = inst.capacity[pv] - self.mem[pv]
             for kk in range(self.K):
-                if self.val[pv][kk] == -1 and inst.mem_per_key[kk] > left:
+                if (
+                    self.val[pv][kk] == -1
+                    and inst.mem_per_key[kk] > left
+                    and not self.fits(pv, kk)
+                ):
                     pending.append((pv, kk, 0))
             # neighborhood saturation around every vertex that now holds pk
             # at its cap: unfixed neighbors may not take pk anymore
@@ -262,7 +350,7 @@ class _State:
         mem = inst.mem_per_key
         budgets = []
         for v in range(self.n):
-            left = inst.capacity[v] - self.mem[v]
+            left = inst.capacity[v] - self.mem[v] + BUDGET_SLACK
             row = self.val[v]
             r = 0
             total = 0.0

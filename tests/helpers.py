@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the package's own search and generation
 code paths where an independent result is needed: connected graphs are
-sampled with a local union-find check, and the two reference optima come
-from exhaustive enumeration routes that do not touch the branch-and-bound
-engine.
+sampled with a local union-find check, and the reference optima come from
+exhaustive enumeration routes that touch neither the branch-and-bound engine
+nor the package's Gray-code oracle.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import random
 from qkmp.graph import Graph, make_graph
 from qkmp.ilp import IlpModel, build_ilp, x_name, y_name, z_name
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
+from qkmp.solver import OPTIMAL, SolveResult
 
 # dyadic memory weights: sums of these are exact in binary floating point,
 # so budget arithmetic inside the solver matches evaluate() bit for bit
@@ -75,18 +76,62 @@ def random_battery_instance(rng: random.Random) -> KmpInstance:
     )
 
 
-def quadratic_optimum(inst: KmpInstance) -> int:
-    """Reference optimum by scoring every binary matrix with evaluate()."""
+# non-dyadic weights and capacities: key-index order sums such as
+# 0.2 + 0.5 <= 0.7 hold while 0.7 - 0.2 < 0.5, so any solver arithmetic that
+# differs from evaluate() shows up as a wrong optimum
+NON_DYADIC_MEMS = (0.1, 0.2, 0.5)
+NON_DYADIC_CAPACITIES = (0.6, 0.7)
+
+
+def random_non_dyadic_instance(rng: random.Random) -> KmpInstance:
+    """Random instance with non-dyadic memory, n*K <= 15."""
+    n = rng.randint(2, 5)
+    g = connected_random_graph(rng, n, 0.7)
+    key_count = rng.randint(1, 3)
+    return KmpInstance(
+        graph=g,
+        key_count=key_count,
+        q=rng.choice([1, 1, 2]),
+        p=rng.choice([0.2, 0.5, 1.0]),
+        alpha=1,
+        mem_per_key=tuple(rng.choice(NON_DYADIC_MEMS) for _ in range(key_count)),
+        capacity=tuple(rng.choice(NON_DYADIC_CAPACITIES) for _ in range(n)),
+        usage_limit=tuple(rng.randint(1, n) for _ in range(key_count)),
+    )
+
+
+def reference_brute_force(inst: KmpInstance) -> SolveResult:
+    """The exhaustive oracle written the slow, obvious way.
+
+    Every code in increasing order is turned into a KeyAssignment and scored
+    by evaluate(); a strict ``>`` keeps the first (smallest) optimal code.
+    solver.brute_force must return the same result, wall time aside.
+    """
     n, K = inst.graph.n, inst.key_count
-    best = 0
+    best_obj = -1
+    best_rows: tuple[tuple[int, ...], ...] = ()
     for code in range(1 << (n * K)):
         rows = tuple(
             tuple((code >> (i * K + k)) & 1 for k in range(K)) for i in range(n)
         )
-        report = evaluate(inst, KeyAssignment(x=rows))
-        if report.feasible and report.objective > best:
-            best = report.objective
-    return best
+        report = evaluate(inst, KeyAssignment(rows))
+        if report.feasible and report.objective > best_obj:
+            best_obj = report.objective
+            best_rows = rows
+    return SolveResult(
+        status=OPTIMAL,
+        incumbent=KeyAssignment(best_rows),
+        lower_bound=best_obj,
+        upper_bound=best_obj,
+        gap=0.0,
+        nodes=1 << (n * K),
+        wall_time=0.0,
+    )
+
+
+def quadratic_optimum(inst: KmpInstance) -> int:
+    """Reference optimum by scoring every binary matrix with evaluate()."""
+    return reference_brute_force(inst).lower_bound
 
 
 def pinned_point(inst: KmpInstance, model: IlpModel, rows) -> list[int]:

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import pytest
 
@@ -38,6 +39,25 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@dataclasses.dataclass(frozen=True)
+class FailingConfig(ExperimentConfig):
+    """Instance ``fail_index`` raises in the worker, or kills it outright."""
+
+    fail_index: int = 1
+    kill: bool = False
+
+    def build_instance(self, seed: int):
+        if seed == self.base_seed + self.fail_index:
+            if self.kill:
+                os._exit(3)
+            raise RuntimeError(f"boom at seed {seed}")
+        return super().build_instance(seed)
+
+
+def failing_config(**overrides):
+    return FailingConfig(**dataclasses.asdict(tiny_config()), **overrides)
 
 
 class TestBuiltinTables:
@@ -171,6 +191,22 @@ class TestRunExperiment:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             run_experiment(tiny_config(), parallel_instances=0)
+
+    def test_worker_exception_becomes_error_row(self):
+        stats = run_experiment(failing_config(), parallel_instances=2)
+        assert [r.seed for r in stats.rows] == [900, 901, 902, 903]
+        assert [r.status for r in stats.rows] == [OPTIMAL, "ERROR", OPTIMAL, OPTIMAL]
+        assert stats.rows[1].note == "RuntimeError('boom at seed 901')"
+        assert stats.rows[1].objective is None and stats.rows[1].wall_time is None
+
+    def test_dead_worker_becomes_error_rows(self):
+        # a dead worker breaks the pool, so every index still pending fails
+        # too; the batch still returns one row per seed, in seed order
+        stats = run_experiment(failing_config(kill=True), parallel_instances=2)
+        assert [r.seed for r in stats.rows] == [900, 901, 902, 903]
+        assert stats.rows[1].status == "ERROR"
+        assert "BrokenProcessPool" in stats.rows[1].note
+        assert {r.status for r in stats.rows} <= {OPTIMAL, "ERROR"}
 
     def test_error_rows_are_kept_not_raised(self):
         stats = run_experiment(tiny_config(d=0.0, instance_count=2))

@@ -1,4 +1,4 @@
-"""Pinned search results and the non-dyadic capacity regression.
+"""Pinned search results and the non-dyadic capacity regressions.
 
 The pins were recorded before the node bound and the objective were made
 incremental. Those changes must leave the search itself alone, so status,
@@ -38,6 +38,20 @@ NON_DYADIC = {
     "usage_limit": [5, 3, 2],
 }
 
+# 0.7 - 0.2 is 0.49999999999999994, so the capacity prune and the vertex
+# budgets used to rule key 1 (0.5) out at vertex 2 once it held key 0, although
+# 0.2 + 0.5 <= 0.7 validates; solve_bb then reported OPTIMAL 1
+NON_DYADIC_TRIANGLE = {
+    "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+    "key_count": 2,
+    "q": 1,
+    "p": 1.0,
+    "alpha": 1,
+    "mem_per_key": [0.2, 0.5],
+    "capacity": [0.6, 0.6, 0.7],
+    "usage_limit": [2, 2],
+}
+
 
 @pytest.mark.parametrize("config,seed,node_limit,expected,digest", PINS, ids=[p[0] for p in PINS])
 def test_search_is_pinned(config, seed, node_limit, expected, digest):
@@ -54,6 +68,15 @@ def test_non_dyadic_instance_solves_to_oracle_optimum():
     assert r.lower_bound == r.upper_bound == brute_force(inst).lower_bound == 3
     report = evaluate(inst, r.incumbent)
     assert report.feasible and report.objective == 3
+
+
+def test_non_dyadic_triangle_keeps_a_key_that_fits():
+    inst = KmpInstance.from_json_dict(NON_DYADIC_TRIANGLE)
+    r = solve_bb(inst)
+    assert r.status == OPTIMAL
+    assert r.lower_bound == r.upper_bound == brute_force(inst).lower_bound == 2
+    report = evaluate(inst, r.incumbent)
+    assert report.feasible and report.objective == 2
 
 
 @pytest.mark.parametrize("seed", range(solver.GREEDY_RESTARTS))

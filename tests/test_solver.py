@@ -16,7 +16,13 @@ from qkmp.solver import (
     solve_bb,
 )
 
-from helpers import random_small_instance
+from helpers import (
+    NON_DYADIC_MEMS,
+    connected_random_graph,
+    random_non_dyadic_instance,
+    random_small_instance,
+    reference_brute_force,
+)
 
 TRIANGLE = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
@@ -88,12 +94,82 @@ class TestBruteForce:
             report = evaluate(inst, r.incumbent)
             assert report.feasible and report.objective == r.lower_bound
 
+    def test_matches_reference_enumeration(self):
+        """The Gray-code walk returns exactly what scoring every code in
+        order with evaluate() returns, tie-break included."""
+        for inst in reference_battery():
+            fast, slow = brute_force(inst), reference_brute_force(inst)
+            assert oracle_view(fast) == oracle_view(slow), inst.to_json_dict()
+
     def test_size_guard(self):
         g = make_graph(9, [(i, i + 1) for i in range(8)])
         inst = KmpInstance.uniform(g, key_count=3, q=1, p=1.0, capacity=3.0, usage_limit=3)
         assert g.n * 3 > BRUTE_FORCE_LIMIT
         with pytest.raises(InstanceTooLargeError):
             brute_force(inst)
+
+
+def oracle_view(r):
+    return (r.status, r.lower_bound, r.upper_bound, r.gap, r.nodes, r.incumbent)
+
+
+def reference_battery():
+    """Seeded instances with n*K <= 10, cheap enough for the reference oracle."""
+    cases = [
+        # every capacity below every key weight: the optimum is all zeros
+        KmpInstance(
+            graph=PATH3,
+            key_count=3,
+            q=1,
+            p=1.0,
+            alpha=1,
+            mem_per_key=(0.5, 0.7, 1.0),
+            capacity=(0.3, 0.4, 0.2),
+            usage_limit=(3, 3, 3),
+        ),
+        # a lone vertex has no edge to secure
+        KmpInstance(
+            graph=make_graph(1, []),
+            key_count=4,
+            q=1,
+            p=0.0,
+            alpha=1,
+            mem_per_key=(0.1, 0.2, 0.5, 0.2),
+            capacity=(0.6,),
+            usage_limit=(1, 1, 1, 1),
+        ),
+        # q = 3 secured on one edge by a non-dyadic ring that only just fits
+        KmpInstance(
+            graph=make_graph(2, [(0, 1)]),
+            key_count=4,
+            q=3,
+            p=0.0,
+            alpha=1,
+            mem_per_key=(0.1, 0.2, 0.5, 0.2),
+            capacity=(0.6, 0.7),
+            usage_limit=(2, 2, 2, 2),
+        ),
+        KmpInstance.uniform(TRIANGLE, key_count=3, q=3, p=1.0, capacity=3.0, usage_limit=3),
+    ]
+    rng = random.Random(4242)
+    mems = (NON_DYADIC_MEMS, (0.3, 0.7), (0.5, 1.0, 2.0), (1, 2))
+    for _ in range(150):
+        n = rng.randint(2, 5)
+        K = rng.randint(1, 10 // n)
+        weights = rng.choice(mems)
+        cases.append(
+            KmpInstance(
+                graph=connected_random_graph(rng, n, rng.choice([0.5, 1.0])),
+                key_count=K,
+                q=rng.choice([1, 1, 2, 3]),
+                p=rng.choice([0.0, 0.3, 0.5, 1.0]),
+                alpha=rng.randint(1, 2),
+                mem_per_key=tuple(rng.choice(weights) for _ in range(K)),
+                capacity=tuple(rng.choice([0.2, 0.7, 1.0, 2.0, 4.0]) for _ in range(n)),
+                usage_limit=tuple(rng.randint(1, n) for _ in range(K)),
+            )
+        )
+    return cases
 
 
 class TestSolveBb:
@@ -122,6 +198,19 @@ class TestSolveBb:
             assert fast.status == OPTIMAL
             assert fast.lower_bound == slow.lower_bound
             assert fast.upper_bound == fast.lower_bound
+            report = evaluate(inst, fast.incumbent)
+            assert report.feasible and report.objective == fast.lower_bound
+
+    def test_matches_brute_force_on_non_dyadic_instances(self):
+        """Memory weights whose float sums round: the search's capacity
+        arithmetic must agree with evaluate() on every instance."""
+        rng = random.Random(5)
+        for _ in range(400):
+            inst = random_non_dyadic_instance(rng)
+            fast = solve_bb(inst, SolverConfig(time_limit=60))
+            slow = brute_force(inst)
+            assert fast.status == OPTIMAL, inst.to_json_dict()
+            assert fast.upper_bound == fast.lower_bound == slow.lower_bound, inst.to_json_dict()
             report = evaluate(inst, fast.incumbent)
             assert report.feasible and report.objective == fast.lower_bound
 
