@@ -8,135 +8,4 @@ export of the linearized model, assignment analysis, and a benchmark
 harness with a CLI.
 """
 
-from .analysis import (
-    AssignmentReport,
-    SecureGraph,
-    assignment_report,
-    key_path_connected,
-    naive_pairwise_key_count,
-    secure_graph,
-)
-from .graph import (
-    CONNECTIVITY_RETRY_LIMIT,
-    DisconnectedGraphError,
-    Graph,
-    GraphError,
-    RetryExhaustedError,
-    UnsatisfiableDensityError,
-    density,
-    generate_er,
-    is_connected,
-    make_graph,
-    spanning_tree_edge_count,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentStats,
-    InstanceRow,
-    builtin_tables,
-    desk_scale,
-    emit_csv,
-    format_summary_table,
-    get_config,
-    parse_results_csv,
-    run_experiment,
-    run_single,
-)
-from .ilp import (
-    IlpFormatError,
-    IlpModel,
-    LinearRow,
-    NameTooLongError,
-    build_ilp,
-    read_lp,
-    read_mps,
-    write_lp,
-    write_mps,
-)
-from .instance import (
-    CAPACITY,
-    GLOBAL_USE,
-    NEIGHBORHOOD_USE,
-    FeasibilityReport,
-    KeyAssignment,
-    KmpInstance,
-    Violation,
-    derive_z,
-    evaluate,
-    shared_keys,
-)
-from .solver import (
-    ERROR,
-    FEASIBLE_TIMEOUT,
-    OPTIMAL,
-    InstanceTooLargeError,
-    SolveResult,
-    SolverConfig,
-    brute_force,
-    compute_gap,
-    greedy_heuristic,
-    solve_bb,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssignmentReport",
-    "SecureGraph",
-    "assignment_report",
-    "key_path_connected",
-    "naive_pairwise_key_count",
-    "secure_graph",
-    "CONNECTIVITY_RETRY_LIMIT",
-    "DisconnectedGraphError",
-    "Graph",
-    "GraphError",
-    "RetryExhaustedError",
-    "UnsatisfiableDensityError",
-    "density",
-    "generate_er",
-    "is_connected",
-    "make_graph",
-    "spanning_tree_edge_count",
-    "ExperimentConfig",
-    "ExperimentStats",
-    "InstanceRow",
-    "builtin_tables",
-    "desk_scale",
-    "emit_csv",
-    "format_summary_table",
-    "get_config",
-    "parse_results_csv",
-    "run_experiment",
-    "run_single",
-    "IlpFormatError",
-    "IlpModel",
-    "LinearRow",
-    "NameTooLongError",
-    "build_ilp",
-    "read_lp",
-    "read_mps",
-    "write_lp",
-    "write_mps",
-    "CAPACITY",
-    "GLOBAL_USE",
-    "NEIGHBORHOOD_USE",
-    "FeasibilityReport",
-    "KeyAssignment",
-    "KmpInstance",
-    "Violation",
-    "derive_z",
-    "evaluate",
-    "shared_keys",
-    "ERROR",
-    "FEASIBLE_TIMEOUT",
-    "OPTIMAL",
-    "InstanceTooLargeError",
-    "SolveResult",
-    "SolverConfig",
-    "brute_force",
-    "compute_gap",
-    "greedy_heuristic",
-    "solve_bb",
-    "__version__",
-]

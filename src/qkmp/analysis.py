@@ -58,18 +58,15 @@ def key_path_connected(sg: SecureGraph) -> bool:
     return sg.component_count <= 1
 
 
-def naive_pairwise_key_count(g: Graph, q: int, all_edges: bool = False) -> int:
+def naive_pairwise_key_count(g: Graph, q: int) -> int:
     """Keys a no-reuse pairwise scheme needs to keep g connected.
 
-    Counts q fresh keys per spanning tree edge, q*(n-1) total. With
-    ``all_edges`` it prices securing every edge instead, q*|E|.
+    Counts q fresh keys per spanning tree edge, q*(n-1) total.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     if not is_connected(g):
         raise DisconnectedGraphError("baseline requires a connected graph")
-    if all_edges:
-        return q * g.edge_count
     return q * (g.n - 1)
 
 

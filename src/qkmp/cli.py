@@ -7,6 +7,7 @@ success, 2 when validate finds the assignment infeasible, 1 on any error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -66,7 +67,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     inst = KmpInstance.from_json_dict(_read_json(args.instance))
     model = ilp.build_ilp(inst)
     if args.format == "mps":
-        text = ilp.write_mps(model, fixed=args.fixed_mps)
+        text = ilp.write_mps(model)
     else:
         text = ilp.write_lp(model)
     _write_text(args.out, text)
@@ -111,14 +112,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = harness.get_config(args.config_id)
     if args.scale == "desk":
         cfg = harness.desk_scale(cfg)
-    if args.instances is not None:
-        cfg = harness.desk_scale(cfg, args.instances, cfg.time_limit_seconds)
-    if args.time_limit is not None:
-        cfg = harness.desk_scale(cfg, cfg.instance_count, args.time_limit)
-    if args.base_seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, base_seed=args.base_seed)
+    # explicit None checks: --instances 0 must reach the config's validation
+    cfg = dataclasses.replace(
+        cfg,
+        instance_count=cfg.instance_count if args.instances is None else args.instances,
+        time_limit_seconds=(
+            cfg.time_limit_seconds if args.time_limit is None else args.time_limit
+        ),
+        base_seed=cfg.base_seed if args.base_seed is None else args.base_seed,
+    )
     stats = harness.run_experiment(cfg, parallel_instances=args.parallel)
     _write_text(args.out, harness.emit_csv(stats))
     return 0
@@ -167,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write the linearized model as MPS or LP")
     p.add_argument("instance")
     p.add_argument("--format", choices=("mps", "lp"), default="mps")
-    p.add_argument(
-        "--fixed-mps",
-        action="store_true",
-        help="classic fixed-field MPS (8-character name limit)",
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export)
 

@@ -116,13 +116,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def spanning_tree_edge_count(g: Graph) -> int:
-    """Number of edges in any spanning tree of a connected graph, i.e. n - 1."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("spanning tree requires a connected graph")
-    return max(g.n - 1, 0)
-
-
 def generate_er(
     n: int,
     d: float,

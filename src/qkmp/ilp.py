@@ -6,9 +6,9 @@ pin y to the product exactly at binary points. The builder performs no
 presolve or reduction, so exported files can be audited row by row against
 the mathematical model.
 
-Serialization targets two standard text formats: MPS (free layout by
-default, classic fixed columns on request) and CPLEX-style LP. The matching
-readers are only promised to round-trip files produced by these writers.
+Serialization targets two standard text formats: free-layout MPS and
+CPLEX-style LP. The matching readers are only promised to round-trip files
+produced by these writers.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ OBJ_ROW_NAME = "obj"
 
 class IlpFormatError(ValueError):
     """Raised when a serialized model cannot be parsed back."""
-
-
-class NameTooLongError(ValueError):
-    """A row or variable name does not fit the 8-character fixed-MPS field."""
 
 
 def _fmt(v: float) -> str:
@@ -236,34 +232,8 @@ def _column_entries(m: IlpModel) -> list[list[tuple[str, float]]]:
     return cols
 
 
-def write_mps(m: IlpModel, fixed: bool = False) -> str:
-    """MPS text for the model; free layout unless ``fixed`` is set.
-
-    The fixed layout enforces the classic 8-character limit on row and
-    variable names and raises NameTooLongError when a name exceeds it; the
-    free layout has no such limit and is therefore the default.
-    """
-    if fixed:
-        for name in m.variables:
-            if len(name) > 8:
-                raise NameTooLongError(f"variable name {name!r} exceeds 8 characters")
-        for row in m.rows:
-            if len(row.name) > 8:
-                raise NameTooLongError(f"row name {row.name!r} exceeds 8 characters")
-
-    if fixed:
-        def entry(name: str, row: str, value: float) -> str:
-            return f"    {name:<10}{row:<15}{_fmt(value)}"
-
-        def bound(name: str) -> str:
-            return f" BV {'BND':<10}{name}"
-    else:
-        def entry(name: str, row: str, value: float) -> str:
-            return f" {name} {row} {_fmt(value)}"
-
-        def bound(name: str) -> str:
-            return f" BV BND {name}"
-
+def write_mps(m: IlpModel) -> str:
+    """Free-layout MPS text for the model; names are not length-limited."""
     lines: list[str] = []
     lines.append(f"NAME {m.name}".rstrip())
     lines.append("OBJSENSE")
@@ -275,13 +245,13 @@ def write_mps(m: IlpModel, fixed: bool = False) -> str:
     lines.append("COLUMNS")
     for name, entries in zip(m.variables, _column_entries(m)):
         for row_name, coef in entries:
-            lines.append(entry(name, row_name, coef))
+            lines.append(f" {name} {row_name} {_fmt(coef)}")
     lines.append("RHS")
     for row in m.rows:
-        lines.append(entry("RHS", row.name, row.rhs))
+        lines.append(f" RHS {row.name} {_fmt(row.rhs)}")
     lines.append("BOUNDS")
     for name in m.variables:
-        lines.append(bound(name))
+        lines.append(f" BV BND {name}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 

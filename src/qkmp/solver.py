@@ -196,7 +196,12 @@ def brute_force(inst: KmpInstance) -> SolveResult:
 
 
 class _State:
-    """Mutable search state shared by the heuristic and the tree search."""
+    """Mutable search state shared by the heuristic and the tree search.
+
+    Both set a 1 only through ``can_hold`` / ``place`` / ``unplace``. The
+    search goes through ``fix`` / ``undo_to``, which add the trail, the
+    forced zeros and ``mem`` on top.
+    """
 
     def __init__(self, inst: KmpInstance):
         g = inst.graph
@@ -217,7 +222,8 @@ class _State:
         self.shared = [0] * len(self.edges)  # keys fixed to 1 on both endpoints
         self.secured = 0  # edges with shared >= q
         self.pair_count = [0] * self.K  # edges whose endpoints both hold k
-        self.trail: list[tuple] = []
+        # cells fixed by fix(), in order; undo_to reads each cell's value
+        self.trail: list[tuple[int, int]] = []
         # key order by memory footprint, for vertex budget estimation
         self.keys_by_mem = sorted(range(self.K), key=lambda k: (inst.mem_per_key[k], k))
 
@@ -235,107 +241,124 @@ class _State:
         """The one capacity predicate: does key k fit on v's current ring?"""
         return self.ring_mem(v, k) <= self.inst.capacity[v]
 
+    def can_hold(self, v: int, k: int) -> bool:
+        """May the undecided cell (v, k) take a 1? Checks key k's usage, v's
+        capacity, v's own neighborhood row and the row of every neighbor
+        that holds k."""
+        if self.usage[k] + 1 > self.inst.usage_limit[k]:
+            return False
+        val, cnt, ncap = self.val, self.cnt, self.ncap
+        if cnt[v][k] > ncap[v] or not self.fits(v, k):
+            return False
+        for u in self.adj[v]:
+            if val[u][k] == 1 and cnt[u][k] + 1 > ncap[u]:
+                return False
+        return True
+
+    def place(self, v: int, k: int) -> None:
+        """Set cell (v, k) to 1 and update usage and the holder counts
+        (``cnt``, ``shared``, ``secured``, ``pair_count``).
+
+        ``mem`` is left alone: ``fix`` and ``undo_to`` keep it, and the
+        heuristic checks capacity through ``fits``.
+        """
+        self.val[v][k] = 1
+        self.usage[k] += 1
+        q = self.inst.q
+        val, cnt, shared = self.val, self.cnt, self.shared
+        for u in self.adj[v]:
+            cnt[u][k] += 1
+            if val[u][k] == 1:
+                e = self.edge_id[(u, v) if u < v else (v, u)]
+                shared[e] += 1
+                if shared[e] == q:
+                    self.secured += 1
+                self.pair_count[k] += 1
+
+    def unplace(self, v: int, k: int) -> None:
+        """Exact inverse of ``place(v, k)``; the cell is undecided again."""
+        self.val[v][k] = -1
+        self.usage[k] -= 1
+        q = self.inst.q
+        val, cnt, shared = self.val, self.cnt, self.shared
+        for u in self.adj[v]:
+            cnt[u][k] -= 1
+            if val[u][k] == 1:
+                e = self.edge_id[(u, v) if u < v else (v, u)]
+                if shared[e] == q:
+                    self.secured -= 1
+                shared[e] -= 1
+                self.pair_count[k] -= 1
+
+    def _close(self, v: int, k: int) -> None:
+        """Fix the undecided cell (v, k) to 0."""
+        self.val[v][k] = 0
+        self.trail.append((v, k))
+        for u in self.adj[v]:
+            self.nz[u][k] -= 1
+
     def fix(self, v: int, k: int, value: int) -> bool:
-        """Fix one cell and propagate to a fixpoint. False means conflict."""
-        pending = [(v, k, value)]
-        while pending:
-            pv, pk, pval = pending.pop()
-            cur = self.val[pv][pk]
-            if cur == pval:
-                continue
-            if cur != -1:
-                return False
-            self.val[pv][pk] = pval
-            self.trail.append(("val", pv, pk))
-            if pval == 0:
-                for u in self.adj[pv]:
-                    self.nz[u][pk] -= 1
-                continue
+        """Fix one cell and the zeros it forces. False means conflict, and a
+        conflict changes no state."""
+        cur = self.val[v][k]
+        if cur != -1:
+            return cur == value
+        if value == 0:
+            self._close(v, k)
+            return True
+        if not self.can_hold(v, k):
+            return False
+        self.place(v, k)
+        self.trail.append((v, k))
+        self.mem[v] = self.ring_mem(v)
 
-            # one-fixes carry all the constraint weight
-            inst = self.inst
-            if self.usage[pk] + 1 > inst.usage_limit[pk]:
-                return False
-            if not self.fits(pv, pk):
-                return False
-            if self.cnt[pv][pk] > self.ncap[pv]:
-                return False
-            self.usage[pk] += 1
-            self.trail.append(("usage", pk))
-            self.trail.append(("mem", pv, self.mem[pv]))
-            self.mem[pv] = self.ring_mem(pv)
-
-            for u in self.adj[pv]:
-                self.cnt[u][pk] += 1
-                self.trail.append(("cnt", u, pk))
-                uval = self.val[u][pk]
-                if uval == 1:
-                    if self.cnt[u][pk] > self.ncap[u]:
-                        return False
-                    e = self.edge_id[(min(pv, u), max(pv, u))]
-                    self.shared[e] += 1
-                    if self.shared[e] == inst.q:
-                        self.secured += 1
-                    self.pair_count[pk] += 1
-                    self.trail.append(("shared", e, pk))
-                elif uval == -1 and self.cnt[u][pk] > self.ncap[u]:
-                    pending.append((u, pk, 0))
-
-            # usage saturation closes the key for everyone else
-            if self.usage[pk] == inst.usage_limit[pk]:
-                for w in range(self.n):
-                    if self.val[w][pk] == -1:
-                        pending.append((w, pk, 0))
-            # capacity: keys that no longer fit at pv are out. The difference
-            # is only a cheap filter; fits() decides, as evaluate() would
-            left = inst.capacity[pv] - self.mem[pv]
-            for kk in range(self.K):
-                if (
-                    self.val[pv][kk] == -1
-                    and inst.mem_per_key[kk] > left
-                    and not self.fits(pv, kk)
-                ):
-                    pending.append((pv, kk, 0))
-            # neighborhood saturation around every vertex that now holds pk
-            # at its cap: unfixed neighbors may not take pk anymore
-            if self.cnt[pv][pk] == self.ncap[pv]:
-                for u in self.adj[pv]:
-                    if self.val[u][pk] == -1:
-                        pending.append((u, pk, 0))
-            for u in self.adj[pv]:
-                if self.val[u][pk] == 1 and self.cnt[u][pk] == self.ncap[u]:
-                    for w in self.adj[u]:
-                        if self.val[w][pk] == -1:
-                            pending.append((w, pk, 0))
+        # only a 1 forces anything, and only zeros, so one pass is a fixpoint
+        inst = self.inst
+        val, cnt, ncap = self.val, self.cnt, self.ncap
+        # usage saturation closes the key for everyone else
+        if self.usage[k] == inst.usage_limit[k]:
+            for w in range(self.n):
+                if val[w][k] == -1:
+                    self._close(w, k)
+        # capacity: keys that no longer fit at v are out. The difference is
+        # only a cheap filter; fits() decides, as evaluate() would
+        left = inst.capacity[v] - self.mem[v]
+        row = val[v]
+        for kk in range(self.K):
+            if row[kk] == -1 and inst.mem_per_key[kk] > left and not self.fits(v, kk):
+                self._close(v, kk)
+        # neighborhood rows: an undecided neighbor whose row is already over
+        # its cap, and the undecided neighbors of every holder at its cap
+        # (v included), may not take k anymore
+        if cnt[v][k] == ncap[v]:
+            for u in self.adj[v]:
+                if val[u][k] == -1:
+                    self._close(u, k)
+        for u in self.adj[v]:
+            uval = val[u][k]
+            if uval == -1 and cnt[u][k] > ncap[u]:
+                self._close(u, k)
+            elif uval == 1 and cnt[u][k] == ncap[u]:
+                for w in self.adj[u]:
+                    if val[w][k] == -1:
+                        self._close(w, k)
         return True
 
     def mark(self) -> int:
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            rec = self.trail.pop()
-            kind = rec[0]
-            if kind == "val":
-                v, k = rec[1], rec[2]
-                if self.val[v][k] == 0:
-                    for u in self.adj[v]:
-                        self.nz[u][k] += 1
+        """Pop the trail back to ``mark``, making each popped cell undecided."""
+        trail = self.trail
+        while len(trail) > mark:
+            v, k = trail.pop()
+            if self.val[v][k] == 1:
+                self.unplace(v, k)
+                self.mem[v] = self.ring_mem(v)
+            else:
+                for u in self.adj[v]:
+                    self.nz[u][k] += 1
                 self.val[v][k] = -1
-            elif kind == "cnt":
-                self.cnt[rec[1]][rec[2]] -= 1
-            elif kind == "usage":
-                self.usage[rec[1]] -= 1
-            elif kind == "mem":
-                self.mem[rec[1]] = rec[2]
-            elif kind == "shared":
-                if self.shared[rec[1]] == self.inst.q:
-                    self.secured -= 1
-                self.shared[rec[1]] -= 1
-                self.pair_count[rec[2]] -= 1
-
-    def secured_now(self) -> int:
-        return self.secured
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern; always feasible."""
@@ -543,45 +566,6 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
     q = inst.q
     K = inst.key_count
 
-    def can_hold(v: int, k: int) -> bool:
-        if st.val[v][k] != -1:
-            return False
-        if st.usage[k] + 1 > inst.usage_limit[k]:
-            return False
-        if not st.fits(v, k):
-            return False
-        if st.cnt[v][k] > st.ncap[v]:
-            return False
-        for u in st.adj[v]:
-            if st.val[u][k] == 1 and st.cnt[u][k] + 1 > st.ncap[u]:
-                return False
-        return True
-
-    # st.mem is left stale: the heuristic checks capacity through st.fits
-    def place(v: int, k: int) -> None:
-        st.val[v][k] = 1
-        st.usage[k] += 1
-        for u in st.adj[v]:
-            st.cnt[u][k] += 1
-            if st.val[u][k] == 1:
-                e = st.edge_id[(min(u, v), max(u, v))]
-                st.shared[e] += 1
-                if st.shared[e] == q:
-                    st.secured += 1
-                st.pair_count[k] += 1
-
-    def unplace(v: int, k: int) -> None:
-        st.val[v][k] = -1
-        st.usage[k] -= 1
-        for u in st.adj[v]:
-            st.cnt[u][k] -= 1
-            if st.val[u][k] == 1:
-                e = st.edge_id[(min(u, v), max(u, v))]
-                if st.shared[e] == q:
-                    st.secured -= 1
-                st.shared[e] -= 1
-                st.pair_count[k] -= 1
-
     edge_order = sorted(
         g.edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
     )
@@ -606,8 +590,8 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
             ok = True
             done: list[int] = []
             for v in missing:
-                if can_hold(v, k):
-                    place(v, k)
+                if st.can_hold(v, k):
+                    st.place(v, k)
                     done.append(v)
                 else:
                     ok = False
@@ -616,11 +600,11 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                 placed.extend((v, k) for v in done)
             else:
                 for v in reversed(done):
-                    unplace(v, k)
+                    st.unplace(v, k)
         if st.shared[e] < q:
             # could not secure this edge; return its keys to the pool
             for v, k in reversed(placed):
-                unplace(v, k)
+                st.unplace(v, k)
 
     # 1-swap local search: replace one ring key with one absent key when the
     # move is feasible and strictly increases the secured-edge count
@@ -639,14 +623,14 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                     if st.cnt[v][b] == 0:  # no neighbor holds b
                         continue
                     before = st.secured
-                    unplace(v, a)
-                    if can_hold(v, b):
-                        place(v, b)
+                    st.unplace(v, a)
+                    if st.can_hold(v, b):
+                        st.place(v, b)
                         if st.secured > before:
                             improved = True
                             break
-                        unplace(v, b)
-                    place(v, a)
+                        st.unplace(v, b)
+                    st.place(v, a)
                 if st.val[v][a] != 1:
                     break
     rows = st.materialize()
@@ -702,6 +686,9 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     best_obj = 0
     best_rows = KeyAssignment.zeros(inst.graph.n, K).x
     for restart in range(GREEDY_RESTARTS):
+        # the time limit covers the warm start, but at least one restart runs
+        if restart and time.perf_counter() - start > cfg.time_limit:
+            break
         warm = greedy_heuristic(inst, cfg.seed + restart)
         report = evaluate(inst, warm)
         # an infeasible warm start must never become the incumbent
@@ -738,7 +725,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
                 continue
             if not st.fix(v, k, value):
                 continue
-            obj_now = st.secured_now()
+            obj_now = st.secured
             if obj_now > best_obj:
                 best_obj = obj_now
                 best_rows = st.materialize()

@@ -79,11 +79,6 @@ class TestNaiveBaseline:
     def test_single_edge(self):
         assert naive_pairwise_key_count(path_graph(2), q=1) == 1
 
-    def test_all_edges_variant(self):
-        g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert naive_pairwise_key_count(g, q=2) == 4
-        assert naive_pairwise_key_count(g, q=2, all_edges=True) == 6
-
     def test_scales_linearly_in_q(self):
         g = path_graph(5)
         for q in (1, 2, 3):

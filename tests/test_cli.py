@@ -105,12 +105,6 @@ class TestExport:
         inst = KmpInstance.from_json_dict(json.loads(src.read_text()))
         assert ilp.read_lp(text) == ilp.build_ilp(inst)
 
-    def test_fixed_mps_rejects_long_generated_names(self, tmp_path, capsys):
-        # y-row names run past the classic 8-character field
-        path = gen_instance_file(tmp_path)
-        assert main(["export", str(path), "--fixed-mps"]) == 1
-        assert "error:" in capsys.readouterr().err
-
 
 class TestValidate:
     def setup_files(self, tmp_path):
@@ -207,6 +201,17 @@ class TestBench:
         )
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("q1-1,777,")
+
+    @pytest.mark.parametrize(
+        "override",
+        [["--instances", "0", "--time-limit", "5"], ["--instances", "1", "--time-limit", "0"]],
+        ids=["instances", "time-limit"],
+    )
+    def test_zero_override_is_rejected(self, override, capsys):
+        # a zero is an explicit value: it must fail validation, not fall back
+        # to the desk default
+        assert main(["bench", "--config-id", "q1-1", *override]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReport:

@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from qkmp.graph import (
     CONNECTIVITY_RETRY_LIMIT,
-    DisconnectedGraphError,
     Graph,
     UnsatisfiableDensityError,
     density,
     generate_er,
     is_connected,
     make_graph,
-    spanning_tree_edge_count,
 )
 
 # Conditional mean edge count of G(10, 0.2) given connectivity, estimated
@@ -63,18 +61,6 @@ def test_is_connected_examples():
     assert is_connected(make_graph(1, []))
     # pendant edge removed, vertex 3 stranded
     assert not is_connected(make_graph(4, [(0, 1), (0, 2), (1, 2)]))
-
-
-def test_spanning_tree_edge_count():
-    assert spanning_tree_edge_count(make_graph(1, [])) == 0
-    assert spanning_tree_edge_count(make_graph(3, [(0, 1), (0, 2), (1, 2)])) == 2
-    path = make_graph(20, [(i, i + 1) for i in range(19)])
-    assert spanning_tree_edge_count(path) == 19
-
-
-def test_spanning_tree_requires_connectivity():
-    with pytest.raises(DisconnectedGraphError):
-        spanning_tree_edge_count(make_graph(2, []))
 
 
 class TestGenerateEr:

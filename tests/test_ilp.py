@@ -10,7 +10,6 @@ from qkmp.ilp import (
     IlpFormatError,
     IlpModel,
     LinearRow,
-    NameTooLongError,
     build_ilp,
     read_lp,
     read_mps,
@@ -195,34 +194,6 @@ class TestMpsFormat:
         inst = KmpInstance.uniform(TRIANGLE, key_count=2, q=1, p=0.4, capacity=3.0, usage_limit=3)
         model = build_ilp(inst)
         assert read_mps(write_mps(model)) == model
-
-    def test_round_trip_fixed_layout(self):
-        # generated envelope-row names exceed 8 characters, so the fixed
-        # layout is exercised with a hand-built short-named model
-        model = IlpModel(
-            "tiny",
-            ("a", "b"),
-            ((0, 1.0), (1, 2.0)),
-            (
-                LinearRow("r1", ((0, 1.0), (1, 1.0)), SENSE_LE, 1.0),
-                LinearRow("r2", ((0, -1.0),), SENSE_GE, -1.0),
-            ),
-        )
-        text = write_mps(model, fixed=True)
-        assert text != write_mps(model)
-        assert read_mps(text) == model
-
-    def test_fixed_layout_rejects_long_names(self):
-        model = IlpModel("m", ("averylongname",), ((0, 1.0),), ())
-        with pytest.raises(NameTooLongError):
-            write_mps(model, fixed=True)
-
-    def test_fixed_layout_rejects_long_generated_names(self):
-        # vertex 10, key 10 creates the 9-character row name nbr_10_10
-        path11 = make_graph(11, [(i, i + 1) for i in range(10)])
-        inst = KmpInstance.uniform(path11, key_count=11, q=1, p=0.3, capacity=5.0, usage_limit=3)
-        with pytest.raises(NameTooLongError):
-            write_mps(build_ilp(inst), fixed=True)
 
     def test_reader_rejects_minimization(self):
         text = write_mps(ONE_VAR).replace(" MAX", " MIN")

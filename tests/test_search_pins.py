@@ -1,9 +1,10 @@
-"""Pinned search results and the non-dyadic capacity regressions.
+"""Pinned search and heuristic results and the non-dyadic capacity regressions.
 
-The pins were recorded before the node bound and the objective were made
-incremental. Those changes must leave the search itself alone, so status,
-objective, bound, node count and the incumbent's bytes stay fixed under a
-node budget.
+The search pins were recorded before the node bound and the objective were
+made incremental, and the greedy pins before the heuristic moved onto the
+search state's own can_hold / place / unplace. Those changes must leave both
+alone, so status, objective, bound, node count and the incumbent's bytes stay
+fixed under a node budget, and so do the bytes of every greedy restart.
 """
 
 import hashlib
@@ -24,6 +25,20 @@ PINS = [
     ("q1-5", 10500, 1200, ("FEASIBLE_TIMEOUT", 27, 30, 1200), "14005d0d1b866533"),
     ("q2-13", 21300, 40, ("FEASIBLE_TIMEOUT", 73, 91, 40), "3ef2bfe15e92e077"),
 ]
+
+# incumbent digest of greedy_heuristic(inst, seed) for seeds 0..7, per PINS instance
+GREEDY_PINS = {
+    "q1-4": ("ef46cf3927589af8", "a5718942e3149df2", "a539f7487d3ecb1a", "d9aba0ca9c5e941c",
+             "8ef476cbbefbf163", "0699325da465af8e", "afac174065d0f9fd", "93a2c1f6b694b3b5"),
+    "q2-2": ("bf2265ba039469b7", "ab5324fb88a5aca4", "623e9cf2a4e9a921", "e5082f9a6290e987",
+             "e5d4398ec5c57c49", "a2175ef39456a48e", "f2801e52f5a1a71a", "cc052e91bdd03b4f"),
+    "q2-5": ("94bfb12e32f37f39", "6cb57c41c03f63ca", "28bef2199109c3da", "5cf6f4e773629055",
+             "a87612c42b971ea5", "4a21042325649fc0", "76ff9ece352739eb", "3b08d60358110381"),
+    "q1-5": ("14005d0d1b866533", "9a9ce7e6cee39219", "db099dfb9d7573ae", "4b65b948d746503d",
+             "1c71ede061a8e543", "f58530419d00be16", "b86851f79fbc4bd4", "c7cbeb97d5d71088"),
+    "q2-13": ("3ef2bfe15e92e077", "7941e46fd14dcdeb", "0ea2e812e23b8e6c", "ce3f9f76c766bb67",
+              "c60501d0fe3d4d08", "5232c5c219c801d5", "91e6fe1199a42b1d", "239260ea36e8a660"),
+}
 
 # greedy used to check capacity as ring_mem(v) + mem_k while evaluate sums
 # in key-index order: vertex 0 then held 0.6000000000000001 against 0.6
@@ -53,12 +68,25 @@ NON_DYADIC_TRIANGLE = {
 }
 
 
-@pytest.mark.parametrize("config,seed,node_limit,expected,digest", PINS, ids=[p[0] for p in PINS])
-def test_search_is_pinned(config, seed, node_limit, expected, digest):
+def digest(x) -> str:
+    return hashlib.sha256(json.dumps(x).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "config,seed,node_limit,expected,incumbent_digest", PINS, ids=[p[0] for p in PINS]
+)
+def test_search_is_pinned(config, seed, node_limit, expected, incumbent_digest):
     inst = get_config(config).build_instance(seed)
     r = solve_bb(inst, SolverConfig(node_limit=node_limit))
     assert (r.status, r.lower_bound, r.upper_bound, r.nodes) == expected
-    assert hashlib.sha256(json.dumps(r.incumbent.x).encode()).hexdigest()[:16] == digest
+    assert digest(r.incumbent.x) == incumbent_digest
+
+
+@pytest.mark.parametrize("config,seed", [p[:2] for p in PINS], ids=[p[0] for p in PINS])
+def test_greedy_is_pinned(config, seed):
+    inst = get_config(config).build_instance(seed)
+    got = tuple(digest(greedy_heuristic(inst, s).x) for s in range(8))
+    assert got == GREEDY_PINS[config]
 
 
 def test_non_dyadic_instance_solves_to_oracle_optimum():

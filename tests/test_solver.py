@@ -1,12 +1,15 @@
 import random
+import time
 
 import pytest
 
+from qkmp import solver
 from qkmp.graph import make_graph
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 from qkmp.solver import (
     BRUTE_FORCE_LIMIT,
     FEASIBLE_TIMEOUT,
+    GREEDY_RESTARTS,
     OPTIMAL,
     InstanceTooLargeError,
     SolverConfig,
@@ -252,6 +255,21 @@ class TestSolveBb:
         assert r.gap == compute_gap(r.lower_bound, r.upper_bound) > 0
         # and the bound never undercuts the true optimum
         assert r.upper_bound >= brute_force(inst).lower_bound
+
+    def test_time_limit_covers_the_warm_start(self, monkeypatch):
+        calls = []
+
+        def slow_greedy(inst, seed):
+            calls.append(seed)
+            time.sleep(0.02)
+            return KeyAssignment.zeros(inst.graph.n, inst.key_count)
+
+        monkeypatch.setattr(solver, "greedy_heuristic", slow_greedy)
+        solve_bb(path_instance(), SolverConfig(time_limit=0.01))
+        assert len(calls) == 1
+        calls.clear()
+        solve_bb(path_instance())
+        assert len(calls) == GREEDY_RESTARTS
 
     def test_result_json_shape(self):
         r = solve_bb(triangle_instance(), SolverConfig(time_limit=30))

@@ -2,10 +2,13 @@
 
 Random fix / mark / undo_to walks on small instances, with q = 1, 2 and 3
 and with dyadic as well as non-dyadic memory weights. After every step the
-co-holder counts, the secured-edge counter, the key pair caps and the node
-bound must equal what a full rescan of the fixed pattern gives.
+co-holder counts, the secured-edge counter, the ring memory, the key pair
+caps and the node bound must equal what a full rescan of the fixed pattern
+gives. A conflicting fix must change no state, and undoing the whole trail
+must give back a fresh state.
 """
 
+import copy
 import random
 
 import pytest
@@ -44,9 +47,20 @@ def walk_instance(rng: random.Random, q: int, mems: tuple) -> KmpInstance:
     )
 
 
+STATE_FIELDS = ("val", "usage", "mem", "cnt", "nz", "shared", "secured", "pair_count", "trail")
+
+
+def snapshot(st) -> dict:
+    return {name: copy.deepcopy(getattr(st, name)) for name in STATE_FIELDS}
+
+
 def assert_matches_rescan(st) -> None:
     assert st.nz == rescan_nz(st)
-    assert st.secured == st.secured_now() == rescan_secured(st)
+    assert st.secured == rescan_secured(st)
+    assert st.mem == [st.ring_mem(v) for v in range(st.n)]
+    # the trail holds each decided cell exactly once, and nothing else
+    decided = [(v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] != -1]
+    assert sorted(st.trail) == decided
     assert st.key_pair_caps() == rescan_key_pair_caps(st)
     assert st.bound() == rescan_bound(st)
 
@@ -58,6 +72,7 @@ CASE_IDS = [f"q{q}-{'dyadic' if m is DYADIC_MEMS else 'nondyadic'}" for q, m in 
 @pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
 def test_random_walks_match_rescan(q, mems):
     rng = random.Random(1000 * q + len(mems) + (mems is DYADIC_MEMS))
+    conflicts = 0
     for _ in range(12):
         inst = walk_instance(rng, q, mems)
         st = solver._State(inst)
@@ -70,9 +85,12 @@ def test_random_walks_match_rescan(q, mems):
             if open_cells and (not marks or rng.random() < 0.6):
                 marks.append(st.mark())
                 v, k = rng.choice(open_cells)
+                before = snapshot(st)
                 ok = st.fix(v, k, 1 if rng.random() < 0.6 else 0)
                 assert_matches_rescan(st)
                 if not ok:
+                    conflicts += 1
+                    assert snapshot(st) == before
                     # the search backs out of a conflict to the frame's mark
                     st.undo_to(marks.pop())
             else:
@@ -82,8 +100,8 @@ def test_random_walks_match_rescan(q, mems):
             assert_matches_rescan(st)
         st.undo_to(0)
         assert_matches_rescan(st)
-        assert st.secured == 0 and not st.trail
-        assert st.nz == [[len(st.adj[v])] * st.K for v in range(st.n)]
+        assert snapshot(st) == snapshot(solver._State(inst))
+    assert conflicts > 0
 
 
 @pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
