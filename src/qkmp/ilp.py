@@ -6,6 +6,11 @@ pin y to the product exactly at binary points. The builder performs no
 presolve or reduction, so exported files can be audited row by row against
 the mathematical model.
 
+Every row and the objective keep their (position, coefficient) pairs in
+stable position order, without zeros. ``build_ilp`` emits them in that order
+already, so normalizing a row costs one pass, and a model's range check reads
+only the first and last position of each row.
+
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers are only promised to round-trip files
 produced by these writers.
@@ -14,7 +19,8 @@ produced by these writers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .instance import KmpInstance
 
@@ -34,26 +40,67 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-@dataclass(frozen=True)
+def _memoized(fmt: Callable[[float], str]) -> Callable[[float], str]:
+    """``fmt`` computed once per distinct value, for one write.
+
+    Zeros bypass the memo: -0.0 == 0.0 and both hash alike, so a float-keyed
+    memo would write whichever of them came first for both.
+    """
+    memo: dict[float, str] = {}
+
+    def cached(v: float) -> str:
+        s = memo.get(v)
+        if s is None:
+            s = fmt(v)
+            if v:
+                memo[v] = s
+        return s
+
+    return cached
+
+
+def _normalized(coeffs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
+    """int positions and float coefficients, zeros dropped, in stable position
+    order. A tuple of (int, nonzero float) pairs already in that order is
+    returned as it is, so rows may share their pair tuples."""
+    if type(coeffs) is tuple:
+        last = -1
+        for pair in coeffs:
+            if type(pair) is not tuple or len(pair) != 2:
+                break
+            pos, c = pair
+            if type(pos) is not int or type(c) is not float or c == 0.0 or pos < last:
+                break
+            last = pos
+        else:
+            return coeffs
+    out = tuple([(int(pos), float(c)) for pos, c in coeffs if float(c) != 0.0])
+    for a, b in zip(out, out[1:]):
+        if b[0] < a[0]:
+            return tuple(sorted(out, key=itemgetter(0)))
+    return out
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LinearRow:
-    """One constraint: sparse lhs, sense, rhs. Zero coefficients are dropped."""
+    """One constraint: sparse lhs in position order, sense, rhs. Zero
+    coefficients are dropped."""
 
     name: str
     coeffs: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
 
-    def __post_init__(self) -> None:
-        if self.sense not in (SENSE_LE, SENSE_GE):
-            raise ValueError(f"unsupported row sense {self.sense!r}")
-        cleaned = tuple(
-            sorted(
-                ((int(pos), float(c)) for pos, c in self.coeffs if float(c) != 0.0),
-                key=lambda t: t[0],
-            )
-        )
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "rhs", float(self.rhs))
+    def __init__(
+        self, name: str, coeffs: Iterable[tuple[int, float]], sense: str, rhs: float
+    ) -> None:
+        if sense not in (SENSE_LE, SENSE_GE):
+            raise ValueError(f"unsupported row sense {sense!r}")
+        # frozen, so each field is set once, already normalized
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "coeffs", _normalized(coeffs))
+        object.__setattr__(self, "sense", sense)
+        object.__setattr__(self, "rhs", float(rhs))
 
 
 @dataclass(frozen=True)
@@ -73,12 +120,7 @@ class IlpModel:
         if len(index) != len(variables):
             raise ValueError("variable names must be unique")
         object.__setattr__(self, "var_index", index)
-        obj = tuple(
-            sorted(
-                ((int(pos), float(c)) for pos, c in self.objective if float(c) != 0.0),
-                key=lambda t: t[0],
-            )
-        )
+        obj = _normalized(self.objective)
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "rows", tuple(self.rows))
         names = {OBJ_ROW_NAME}
@@ -86,14 +128,14 @@ class IlpModel:
             if row.name in names:
                 raise ValueError(f"duplicate row name {row.name!r}")
             names.add(row.name)
+        # pairs are position-sorted, so the ends bound every position
         nvar = len(variables)
-        for pos, _ in obj:
-            if not 0 <= pos < nvar:
-                raise ValueError("objective references unknown variable")
+        if obj and not (obj[0][0] >= 0 and obj[-1][0] < nvar):
+            raise ValueError("objective references unknown variable")
         for row in self.rows:
-            for pos, _ in row.coeffs:
-                if not 0 <= pos < nvar:
-                    raise ValueError(f"row {row.name} references unknown variable")
+            coeffs = row.coeffs
+            if coeffs and not (coeffs[0][0] >= 0 and coeffs[-1][0] < nvar):
+                raise ValueError(f"row {row.name} references unknown variable")
 
     @property
     def num_variables(self) -> int:
@@ -137,79 +179,67 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
     """Linear reformulation of the quadratic model for one instance.
 
     Variable order: all x_{i}_{k} (vertex-major), then z_{i}_{j} in edge
-    order, then y_{i}_{j}_{k} (edge-major). Rows: capacity per vertex, link
-    threshold per edge, neighborhood use per (vertex, key), three product
-    envelope rows per (edge, key), then one usage row per key.
+    order, then y_{i}_{j}_{k} (edge-major), so with E edges x_{i}_{k} sits at
+    i*K + k, the z of edge e at n*K + e and its y for key k at
+    n*K + E + e*K + k. Rows: capacity per vertex, link threshold per edge,
+    neighborhood use per (vertex, key), three product envelope rows per
+    (edge, key), then one usage row per key.
     """
     g = inst.graph
     n, K = g.n, inst.key_count
     edges = g.edges
+    zbase = n * K
+    ybase = zbase + len(edges)
 
-    names: list[str] = []
-    xpos: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for k in range(K):
-            xpos[(i, k)] = len(names)
-            names.append(x_name(i, k))
-    zpos: dict[tuple[int, int], int] = {}
-    for i, j in edges:
-        zpos[(i, j)] = len(names)
-        names.append(z_name(i, j))
-    ypos: dict[tuple[int, int, int], int] = {}
-    for i, j in edges:
-        for k in range(K):
-            ypos[(i, j, k)] = len(names)
-            names.append(y_name(i, j, k))
+    names = [x_name(i, k) for i in range(n) for k in range(K)]
+    names += [z_name(i, j) for i, j in edges]
+    names += [y_name(i, j, k) for i, j in edges for k in range(K)]
+
+    # the pairs that recur across rows, built once and shared by them
+    x_minus = [(x, -1.0) for x in range(zbase)]
+    y_plus = [(y, 1.0) for y in range(ybase, ybase + len(edges) * K)]
 
     rows: list[LinearRow] = []
     for i in range(n):
         rows.append(
             LinearRow(
-                name=f"cap_{i}",
-                coeffs=tuple((xpos[(i, k)], inst.mem_per_key[k]) for k in range(K)),
-                sense=SENSE_LE,
-                rhs=inst.capacity[i],
+                f"cap_{i}",
+                tuple((i * K + k, inst.mem_per_key[k]) for k in range(K)),
+                SENSE_LE,
+                inst.capacity[i],
             )
         )
-    for i, j in edges:
-        coeffs = [(ypos[(i, j, k)], 1.0) for k in range(K)]
-        coeffs.append((zpos[(i, j)], -float(inst.q)))
-        rows.append(
-            LinearRow(name=f"link_{i}_{j}", coeffs=tuple(coeffs), sense=SENSE_GE, rhs=0.0)
-        )
+    link_z = -float(inst.q)
+    for e, (i, j) in enumerate(edges):
+        coeffs = ((zbase + e, link_z), *y_plus[e * K : e * K + K])
+        rows.append(LinearRow(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
+    # the y block of each neighbor's edge; edges are sorted, so ascending j
+    # gives ascending positions
+    edge_id = {edge: e for e, edge in enumerate(edges)}
     for i in range(n):
         rhs = inst.neighborhood_cap(i)
+        blocks = [edge_id[(i, j) if i < j else (j, i)] * K for j in sorted(g.adjacency[i])]
         for k in range(K):
-            coeffs = tuple(
-                (ypos[(min(i, j), max(i, j), k)], 1.0) for j in sorted(g.adjacency[i])
-            )
-            rows.append(LinearRow(name=f"nbr_{i}_{k}", coeffs=coeffs, sense=SENSE_LE, rhs=rhs))
-    for i, j in edges:
+            coeffs = tuple([y_plus[b + k] for b in blocks])
+            rows.append(LinearRow(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
+    for e, (i, j) in enumerate(edges):
         for k in range(K):
-            y = ypos[(i, j, k)]
-            xi, xj = xpos[(i, k)], xpos[(j, k)]
-            rows.append(
-                LinearRow(f"yu1_{i}_{j}_{k}", ((y, 1.0), (xi, -1.0)), SENSE_LE, 0.0)
-            )
-            rows.append(
-                LinearRow(f"yu2_{i}_{j}_{k}", ((y, 1.0), (xj, -1.0)), SENSE_LE, 0.0)
-            )
-            rows.append(
-                LinearRow(
-                    f"ylo_{i}_{j}_{k}", ((y, 1.0), (xi, -1.0), (xj, -1.0)), SENSE_GE, -1.0
-                )
-            )
+            xi, xj, y = x_minus[i * K + k], x_minus[j * K + k], y_plus[e * K + k]
+            tag = f"{i}_{j}_{k}"
+            rows.append(LinearRow("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
+            rows.append(LinearRow("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
+            rows.append(LinearRow("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
     for k in range(K):
         rows.append(
             LinearRow(
-                name=f"use_{k}",
-                coeffs=tuple((xpos[(i, k)], 1.0) for i in range(n)),
-                sense=SENSE_LE,
-                rhs=float(inst.usage_limit[k]),
+                f"use_{k}",
+                tuple((i * K + k, 1.0) for i in range(n)),
+                SENSE_LE,
+                float(inst.usage_limit[k]),
             )
         )
 
-    objective = tuple((zpos[e], 1.0) for e in edges)
+    objective = tuple((zbase + e, 1.0) for e in range(len(edges)))
     return IlpModel(
         name=f"kmp_n{n}_k{K}", variables=tuple(names), objective=objective, rows=rows
     )
@@ -221,39 +251,33 @@ _SENSE_TO_MPS = {SENSE_LE: "L", SENSE_GE: "G"}
 _MPS_TO_SENSE = {"L": SENSE_LE, "G": SENSE_GE}
 
 
-def _column_entries(m: IlpModel) -> list[list[tuple[str, float]]]:
-    # per-variable (row-name, coef) lists, objective entry first
-    cols: list[list[tuple[str, float]]] = [[] for _ in m.variables]
-    for pos, c in m.objective:
-        cols[pos].append((OBJ_ROW_NAME, c))
-    for row in m.rows:
-        for pos, c in row.coeffs:
-            cols[pos].append((row.name, c))
-    return cols
-
-
 def write_mps(m: IlpModel) -> str:
     """Free-layout MPS text for the model; names are not length-limited."""
-    lines: list[str] = []
-    lines.append(f"NAME {m.name}".rstrip())
-    lines.append("OBJSENSE")
-    lines.append(" MAX")
-    lines.append("ROWS")
-    lines.append(f" N {OBJ_ROW_NAME}")
+    fmt = _memoized(_fmt)
+    # per-variable "row coef" entries, objective entry first
+    cols: list[list[str]] = [[] for _ in m.variables]
+    for pos, c in m.objective:
+        cols[pos].append(f"{OBJ_ROW_NAME} {fmt(c)}")
     for row in m.rows:
-        lines.append(f" {_SENSE_TO_MPS[row.sense]} {row.name}")
+        name = row.name
+        for pos, c in row.coeffs:
+            cols[pos].append(f"{name} {fmt(c)}")
+    lines = [f"NAME {m.name}".rstrip(), "OBJSENSE", " MAX", "ROWS", f" N {OBJ_ROW_NAME}"]
+    lines += [f" {_SENSE_TO_MPS[row.sense]} {row.name}" for row in m.rows]
     lines.append("COLUMNS")
-    for name, entries in zip(m.variables, _column_entries(m)):
-        for row_name, coef in entries:
-            lines.append(f" {name} {row_name} {_fmt(coef)}")
+    # one join per column writes all of its lines
+    lines += [
+        f" {name} " + f"\n {name} ".join(entries)
+        for name, entries in zip(m.variables, cols)
+        if entries
+    ]
     lines.append("RHS")
-    for row in m.rows:
-        lines.append(f" RHS {row.name} {_fmt(row.rhs)}")
+    lines += [f" RHS {row.name} {fmt(row.rhs)}" for row in m.rows]
     lines.append("BOUNDS")
-    for name in m.variables:
-        lines.append(f" BV BND {name}")
+    lines += [f" BV BND {name}" for name in m.variables]
     lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def read_mps(text: str) -> IlpModel:
@@ -343,34 +367,43 @@ def read_mps(text: str) -> IlpModel:
 # --- CPLEX-style LP ---
 
 
-def _lp_terms(m: IlpModel, coeffs: Iterable[tuple[int, float]]) -> str:
-    parts: list[str] = []
+def _signed(c: float) -> str:
+    # a term's sign and magnitude as LP writes them: "+ 2.0", "- 0.5"
+    return f"{'-' if c < 0 else '+'} {_fmt(abs(c))}"
+
+
+def _lp_terms(
+    names: Sequence[str], coeffs: Iterable[tuple[int, float]], signed: Callable[[float], str]
+) -> str:
+    # names holds " name" per variable, so that each term is one concatenation
+    parts = []
     for pos, c in coeffs:
-        if not parts:
-            lead = "-" if c < 0 else ""
-            parts.append(f"{lead}{_fmt(abs(c))} {m.variables[pos]}")
-        else:
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {_fmt(abs(c))} {m.variables[pos]}")
+        parts.append(signed(c) + names[pos])
+    if parts:
+        # the leading term carries a minus without a space, and no plus
+        lead = parts[0]
+        parts[0] = lead[2:] if lead[0] == "+" else "-" + lead[2:]
     return " ".join(parts)
 
 
 def write_lp(m: IlpModel) -> str:
     """CPLEX-LP text: Maximize / Subject To / Binary / End, deterministic."""
+    fmt, signed = _memoized(_fmt), _memoized(_signed)
+    names = [" " + v for v in m.variables]
     lines: list[str] = []
     if m.name:
         lines.append(f"\\ name={m.name}")
     lines.append("Maximize")
-    obj_terms = _lp_terms(m, m.objective)
+    obj_terms = _lp_terms(names, m.objective, signed)
     lines.append(f"{OBJ_ROW_NAME}:" + (f" {obj_terms}" if obj_terms else ""))
     lines.append("Subject To")
     for row in m.rows:
-        terms = _lp_terms(m, row.coeffs)
+        terms = _lp_terms(names, row.coeffs, signed)
         if not terms:
             # LP syntax has no empty sum; a zero times any variable stands in
             # for it and is dropped again on read
             terms = f"0.0 {m.variables[0]}" if m.variables else "0.0 none"
-        lines.append(f"{row.name}: {terms} {row.sense} {_fmt(row.rhs)}")
+        lines.append(f"{row.name}: {terms} {row.sense} {fmt(row.rhs)}")
     if m.variables:
         lines.append("Binary")
         for v in m.variables:
@@ -437,6 +470,8 @@ def read_lp(text: str) -> IlpModel:
     if len(var_pos) != len(binaries):
         raise IlpFormatError("duplicate variable in Binary section")
 
+    # the empty-row placeholder "0.0 none" parses to a dropped position
+    row_pos = {**var_pos, "none": -1}
     objective: list[tuple[int, float]] = []
     rows: list[LinearRow] = []
     section = ""
@@ -469,7 +504,7 @@ def read_lp(text: str) -> IlpModel:
             lhs, rhs_tokens = tokens[:at], tokens[at + 1 :]
             if len(rhs_tokens) != 1:
                 raise IlpFormatError(f"malformed right-hand side: {line!r}")
-            coeffs = _parse_lp_terms(lhs, {**var_pos, "none": -1}, label.strip())
+            coeffs = _parse_lp_terms(lhs, row_pos, label.strip())
             coeffs = [(p, c) for p, c in coeffs if p != -1]
             rows.append(LinearRow(label.strip(), tuple(coeffs), sense, float(rhs_tokens[0])))
     return IlpModel(

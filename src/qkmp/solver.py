@@ -682,6 +682,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
                 return True
         return st.val[v][k - 1] == 1
 
+    root_bound = st.bound()
     # the all-zero assignment is feasible for every valid instance
     best_obj = 0
     best_rows = KeyAssignment.zeros(inst.graph.n, K).x
@@ -695,10 +696,13 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         if report.feasible and report.objective > best_obj:
             best_obj = report.objective
             best_rows = warm.x
+        # no restart can beat an admissible bound, and the strict > above
+        # would keep this incumbent anyway
+        if best_obj >= root_bound:
+            break
 
     nodes = 0
     status = OPTIMAL
-    root_bound = st.bound()
     upper = max(root_bound, best_obj)
 
     if root_bound <= best_obj:
@@ -712,7 +716,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
             if cfg.node_limit is not None and nodes >= cfg.node_limit:
                 status = FEASIBLE_TIMEOUT
                 break
-            if nodes % 64 == 0 and time.perf_counter() - start > cfg.time_limit:
+            if time.perf_counter() - start > cfg.time_limit:
                 status = FEASIBLE_TIMEOUT
                 break
             if not frame[1]:

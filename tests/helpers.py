@@ -81,9 +81,18 @@ def random_battery_instance(rng: random.Random) -> KmpInstance:
 # differs from evaluate() shows up as a wrong optimum
 NON_DYADIC_MEMS = (0.1, 0.2, 0.5)
 NON_DYADIC_CAPACITIES = (0.6, 0.7)
+# the weights the benchmark's oracle instances draw, and capacities from below
+# the heaviest key up to 1.0. Their float sums round both ways: 0.1 + 0.2 > 0.3
+# although the exact sum meets it, while 0.1 + 0.2 + 0.7 == 1.0
+WIDE_NON_DYADIC_MEMS = (0.1, 0.2, 0.3, 0.7)
+WIDE_NON_DYADIC_CAPACITIES = (0.3, 0.4, 0.5, 0.6, 0.7, 1.0)
 
 
-def random_non_dyadic_instance(rng: random.Random) -> KmpInstance:
+def random_non_dyadic_instance(
+    rng: random.Random,
+    mems: tuple[float, ...] = NON_DYADIC_MEMS,
+    capacities: tuple[float, ...] = NON_DYADIC_CAPACITIES,
+) -> KmpInstance:
     """Random instance with non-dyadic memory, n*K <= 15."""
     n = rng.randint(2, 5)
     g = connected_random_graph(rng, n, 0.7)
@@ -94,8 +103,8 @@ def random_non_dyadic_instance(rng: random.Random) -> KmpInstance:
         q=rng.choice([1, 1, 2]),
         p=rng.choice([0.2, 0.5, 1.0]),
         alpha=1,
-        mem_per_key=tuple(rng.choice(NON_DYADIC_MEMS) for _ in range(key_count)),
-        capacity=tuple(rng.choice(NON_DYADIC_CAPACITIES) for _ in range(n)),
+        mem_per_key=tuple(rng.choice(mems) for _ in range(key_count)),
+        capacity=tuple(rng.choice(capacities) for _ in range(n)),
         usage_limit=tuple(rng.randint(1, n) for _ in range(key_count)),
     )
 

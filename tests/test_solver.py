@@ -1,10 +1,12 @@
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from qkmp import solver
 from qkmp.graph import make_graph
+from qkmp.harness import get_config
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 from qkmp.solver import (
     BRUTE_FORCE_LIMIT,
@@ -21,6 +23,8 @@ from qkmp.solver import (
 
 from helpers import (
     NON_DYADIC_MEMS,
+    WIDE_NON_DYADIC_CAPACITIES,
+    WIDE_NON_DYADIC_MEMS,
     connected_random_graph,
     random_non_dyadic_instance,
     random_small_instance,
@@ -217,6 +221,21 @@ class TestSolveBb:
             report = evaluate(inst, fast.incumbent)
             assert report.feasible and report.objective == fast.lower_bound
 
+    def test_matches_brute_force_on_wide_non_dyadic_instances(self):
+        """The weights the benchmark's oracle draws, with capacities tight
+        enough that rings of one key and of two or three compete."""
+        rng = random.Random(6)
+        for _ in range(400):
+            inst = random_non_dyadic_instance(
+                rng, WIDE_NON_DYADIC_MEMS, WIDE_NON_DYADIC_CAPACITIES
+            )
+            fast = solve_bb(inst, SolverConfig(time_limit=60))
+            slow = brute_force(inst)
+            assert fast.status == OPTIMAL, inst.to_json_dict()
+            assert fast.upper_bound == fast.lower_bound == slow.lower_bound, inst.to_json_dict()
+            report = evaluate(inst, fast.incumbent)
+            assert report.feasible and report.objective == fast.lower_bound
+
     def test_heterogeneous_key_classes(self):
         """Keys with equal weight but different usage limits must not be
         treated as interchangeable by any symmetry shortcut."""
@@ -270,6 +289,44 @@ class TestSolveBb:
         calls.clear()
         solve_bb(path_instance())
         assert len(calls) == GREEDY_RESTARTS
+
+    def test_restarts_stop_at_the_root_bound(self, monkeypatch):
+        calls = []
+        real_greedy = solver.greedy_heuristic
+
+        def counted_greedy(inst, seed):
+            calls.append(seed)
+            return real_greedy(inst, seed)
+
+        monkeypatch.setattr(solver, "greedy_heuristic", counted_greedy)
+        # the first restart already secures both edges, the root bound
+        r = solve_bb(path_instance())
+        assert calls == [0]
+        assert (r.status, r.lower_bound, r.upper_bound, r.nodes) == (OPTIMAL, 2, 2, 0)
+        # here greedy secures 14 edges against a root bound of 16, so every
+        # restart runs
+        calls.clear()
+        r = solve_bb(get_config("q1-4").build_instance(10400), SolverConfig(node_limit=1))
+        assert calls == list(range(GREEDY_RESTARTS))
+        assert r.lower_bound == 14 and r.upper_bound == 16
+
+    def test_clock_is_read_at_every_node(self, monkeypatch):
+        """A solve stops at the first node after the clock passes the limit."""
+        reads = []
+
+        def perf_counter():
+            # frozen for the first 20 reads, then far past the limit
+            reads.append(None)
+            return 0.0 if len(reads) <= 20 else 100.0
+
+        monkeypatch.setattr(solver, "time", SimpleNamespace(perf_counter=perf_counter))
+        inst = get_config("q1-4").build_instance(10400)
+        # the node limit only stops a solve whose clock checks are missing
+        r = solve_bb(inst, SolverConfig(time_limit=1.0, node_limit=1000))
+        assert r.status == FEASIBLE_TIMEOUT
+        # every node costs a clock read first, so at most 20 ran
+        assert 0 < r.nodes <= 20
+        assert evaluate(inst, r.incumbent).objective == r.lower_bound <= r.upper_bound
 
     def test_result_json_shape(self):
         r = solve_bb(triangle_instance(), SolverConfig(time_limit=30))
