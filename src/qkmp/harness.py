@@ -4,9 +4,7 @@ A configuration fixes the graph shape and model parameters; a run generates
 ``instance_count`` seeded instances (seed = base_seed + index), solves each
 one under a per-instance time limit, and folds the outcomes into summary
 statistics: how many instances solved, the average time of the solved ones,
-and the average optimality gap of the unsolved ones. Because averaging gaps
-only over unsolved instances is a reporting convention rather than a law,
-the all-instances average is kept alongside it.
+and the average optimality gap of the unsolved ones.
 
 Instances are independent, so a run may farm them out to worker processes;
 results are reassembled in seed order and are identical for any worker
@@ -28,8 +26,6 @@ DESK_INSTANCE_COUNT = 20
 DESK_TIME_LIMIT = 300.0
 
 CSV_HEADER = ("config_id", "seed", "status", "objective", "bound", "gap", "wall_time")
-
-SUMMARY_SEED = "summary"
 
 
 @dataclass(frozen=True)
@@ -108,21 +104,6 @@ class ExperimentStats:
         if not gaps:
             return 0.0
         return 100.0 * sum(gaps) / len(gaps)
-
-    @property
-    def avg_gap_all_pct(self) -> float:
-        """Mean gap (percent) over all instances that produced a result."""
-        gaps = [r.gap for r in self.rows if r.gap is not None]
-        if not gaps:
-            return 0.0
-        return 100.0 * sum(gaps) / len(gaps)
-
-    @property
-    def average_objective(self) -> float:
-        objs = [r.objective for r in self.rows if r.objective is not None]
-        if not objs:
-            return 0.0
-        return sum(objs) / len(objs)
 
 
 def _error_row(seed: int, note: str) -> InstanceRow:
@@ -205,13 +186,7 @@ def _cell(v) -> str:
 
 
 def emit_csv(stats: ExperimentStats) -> str:
-    """Instance rows in seed order plus one trailing summary row.
-
-    The summary row reuses the instance columns: seed is the literal word
-    "summary", status carries the solved count, objective the mean
-    objective, bound the all-instances mean gap (percent), gap the
-    unsolved-only mean gap (percent), wall_time the mean solved time.
-    """
+    """Header plus one row per instance, in seed order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -227,23 +202,15 @@ def emit_csv(stats: ExperimentStats) -> str:
                 _cell(r.wall_time),
             ]
         )
-    if stats.rows:
-        writer.writerow(
-            [
-                stats.config_id,
-                SUMMARY_SEED,
-                str(stats.solved_count),
-                _cell(stats.average_objective),
-                _cell(stats.avg_gap_all_pct),
-                _cell(stats.avg_gap_unsolved_pct),
-                _cell(stats.avg_time_solved),
-            ]
-        )
     return buf.getvalue()
 
 
 def parse_results_csv(text: str) -> dict[str, list[InstanceRow]]:
-    """Instance rows per config id from emit_csv output; summaries skipped."""
+    """Instance rows per config id from emit_csv output.
+
+    Older versions ended each config with a summary row whose seed is the
+    word "summary"; such rows are skipped, so their files still report.
+    """
     rows: dict[str, list[InstanceRow]] = {}
     reader = csv.reader(io.StringIO(text))
     for rec in reader:
@@ -252,7 +219,7 @@ def parse_results_csv(text: str) -> dict[str, list[InstanceRow]]:
         if len(rec) != len(CSV_HEADER):
             raise ValueError(f"malformed results row: {rec!r}")
         config_id, seed, status, objective, bound, gap, wall_time = rec
-        if seed == SUMMARY_SEED:
+        if seed == "summary":
             continue
         rows.setdefault(config_id, []).append(
             InstanceRow(

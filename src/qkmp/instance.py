@@ -238,11 +238,15 @@ def evaluate(inst: KmpInstance, a: KeyAssignment) -> FeasibilityReport:
         if lhs > inst.capacity[i]:
             violations.append(Violation(CAPACITY, (i,), lhs, inst.capacity[i]))
 
+    # a cell with x[i][k] == 0 has lhs 0, and the rhs p*|N(i)| + alpha is at
+    # least 1, so only held keys can break their row
     for i in range(g.n):
         rhs = inst.neighborhood_cap(i)
         nbrs = g.adjacency[i]
-        for k in range(K):
-            lhs = sum(x[i][k] * x[j][k] for j in nbrs)
+        for k, held in enumerate(x[i]):
+            if not held:
+                continue
+            lhs = sum(x[j][k] for j in nbrs)
             if lhs > rhs:
                 violations.append(Violation(NEIGHBORHOOD_USE, (i, k), lhs, rhs))
 

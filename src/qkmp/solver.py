@@ -201,6 +201,15 @@ class _State:
     Both set a 1 only through ``can_hold`` / ``place`` / ``unplace``. The
     search goes through ``fix`` / ``undo_to``, which add the trail, the
     forced zeros and ``mem`` on top.
+
+    The node bound's per-key caps and per-vertex budgets are cached in
+    ``caps`` and ``budgets``. Every cell change goes through one of four
+    mutators (``place``, ``unplace``, ``_close`` and the zero branch of
+    ``undo_to``), and each one marks the cell's key and vertex stale. That
+    covers every input: a cap reads column k of ``val`` and ``nz`` and
+    ``usage[k]``, a budget reads row v of ``val`` and ``mem[v]``, which only
+    changes together with row v. ``key_pair_caps`` and ``vertex_budgets``
+    recompute the stale entries only.
     """
 
     def __init__(self, inst: KmpInstance):
@@ -226,29 +235,45 @@ class _State:
         self.trail: list[tuple[int, int]] = []
         # key order by memory footprint, for vertex budget estimation
         self.keys_by_mem = sorted(range(self.K), key=lambda k: (inst.mem_per_key[k], k))
+        # bound parts, valid except at the stale keys and vertices
+        self.caps = [0] * self.K
+        self.budgets = [0] * g.n
+        self.stale_keys = set(range(self.K))
+        self.stale_vertices = set(range(g.n))
+        # per vertex: its val row, its nz row and its ncap, for column scans;
+        # the rows are the live lists, so the tuples never go stale
+        self.vertex_rows = list(zip(self.val, self.nz, self.ncap))
 
-    def ring_mem(self, v: int, extra: int = -1) -> float:
-        """Capacity lhs of v's ring plus key ``extra``, summed in key-index
-        order exactly as the validator sums it."""
+    def ring_mem(self, v: int, extra: int = -1, without: int = -1) -> float:
+        """Capacity lhs of v's ring plus key ``extra`` and minus key
+        ``without``, summed in key-index order exactly as the validator sums
+        it."""
         row = self.val[v]
         return sum(
             self.inst.mem_per_key[k]
             for k in range(self.K)
-            if row[k] == 1 or k == extra
+            if (row[k] == 1 and k != without) or k == extra
         )
 
-    def fits(self, v: int, k: int) -> bool:
-        """The one capacity predicate: does key k fit on v's current ring?"""
-        return self.ring_mem(v, k) <= self.inst.capacity[v]
+    def fits(self, v: int, k: int, without: int = -1) -> bool:
+        """The one capacity predicate: does key k fit on v's current ring,
+        with key ``without`` taken off it?"""
+        return self.ring_mem(v, k, without) <= self.inst.capacity[v]
 
-    def can_hold(self, v: int, k: int) -> bool:
+    def can_hold(self, v: int, k: int, without: int = -1) -> bool:
         """May the undecided cell (v, k) take a 1? Checks key k's usage, v's
         capacity, v's own neighborhood row and the row of every neighbor
-        that holds k."""
+        that holds k.
+
+        With ``without`` set, v's ring loses that key first. Only capacity
+        reads it: dropping another key changes neither ``usage[k]`` nor any
+        ``cnt[.][k]``, so the answer is the one ``can_hold`` would give after
+        ``unplace(v, without)``.
+        """
         if self.usage[k] + 1 > self.inst.usage_limit[k]:
             return False
         val, cnt, ncap = self.val, self.cnt, self.ncap
-        if cnt[v][k] > ncap[v] or not self.fits(v, k):
+        if cnt[v][k] > ncap[v] or not self.fits(v, k, without):
             return False
         for u in self.adj[v]:
             if val[u][k] == 1 and cnt[u][k] + 1 > ncap[u]:
@@ -264,6 +289,8 @@ class _State:
         """
         self.val[v][k] = 1
         self.usage[k] += 1
+        self.stale_keys.add(k)
+        self.stale_vertices.add(v)
         q = self.inst.q
         val, cnt, shared = self.val, self.cnt, self.shared
         for u in self.adj[v]:
@@ -279,6 +306,8 @@ class _State:
         """Exact inverse of ``place(v, k)``; the cell is undecided again."""
         self.val[v][k] = -1
         self.usage[k] -= 1
+        self.stale_keys.add(k)
+        self.stale_vertices.add(v)
         q = self.inst.q
         val, cnt, shared = self.val, self.cnt, self.shared
         for u in self.adj[v]:
@@ -294,6 +323,8 @@ class _State:
         """Fix the undecided cell (v, k) to 0."""
         self.val[v][k] = 0
         self.trail.append((v, k))
+        self.stale_keys.add(k)
+        self.stale_vertices.add(v)
         for u in self.adj[v]:
             self.nz[u][k] -= 1
 
@@ -359,6 +390,8 @@ class _State:
                 for u in self.adj[v]:
                     self.nz[u][k] += 1
                 self.val[v][k] = -1
+                self.stale_keys.add(k)
+                self.stale_vertices.add(v)
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern; always feasible."""
@@ -371,8 +404,8 @@ class _State:
         """How many more keys could possibly fit on each vertex."""
         inst = self.inst
         mem = inst.mem_per_key
-        budgets = []
-        for v in range(self.n):
+        budgets = self.budgets
+        for v in self.stale_vertices:
             left = inst.capacity[v] - self.mem[v] + BUDGET_SLACK
             row = self.val[v]
             r = 0
@@ -384,8 +417,9 @@ class _State:
                 if total > left:
                     break
                 r += 1
-            budgets.append(r)
-        return budgets
+            budgets[v] = r
+        self.stale_vertices.clear()
+        return list(budgets)
 
     def key_pair_caps(self) -> list[int]:
         """Per-key cap on the number of co-holding adjacent pairs.
@@ -397,9 +431,9 @@ class _State:
         can still join the ring.
         """
         inst = self.inst
-        rows = list(zip(self.val, self.nz, self.ncap))
-        caps = []
-        for k in range(self.K):
+        rows = self.vertex_rows
+        caps = self.caps
+        for k in self.stale_keys:
             t_k = inst.usage_limit[k]
             remaining = t_k - self.usage[k]
             weight_sum = 0
@@ -421,8 +455,9 @@ class _State:
             if remaining > 0 and addable:
                 addable.sort(reverse=True)
                 weight_sum += sum(addable[:remaining])
-            caps.append(weight_sum // 2)
-        return caps
+            caps[k] = weight_sum // 2
+        self.stale_keys.clear()
+        return list(caps)
 
     def coverage_bound(self, caps: list[int]) -> int:
         """Key-count bound for q = 1: how many edges can the keys still touch.
@@ -483,6 +518,9 @@ class _State:
         q = inst.q
         budgets = self.vertex_budgets()
         usage, limit, ncap = self.usage, inst.usage_limit, self.ncap
+        # a key at its usage limit joins no further ring and so secures no
+        # open edge; the edge loop walks only the others
+        live = [k for k in range(self.K) if usage[k] < limit[k]]
         total = 0
         for e, (i, j) in enumerate(self.edges):
             s = self.shared[e]
@@ -503,13 +541,11 @@ class _State:
             ncap_i, ncap_j = ncap[i], ncap[j]
             # stop as soon as the edge is provably securable; more keys only
             # raise the best completion, so the count is the same either way
-            for k in range(self.K):
+            for k in live:
                 vi, vj = vi_row[k], vj_row[k]
                 if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
                     continue
                 if vi == 1:
-                    if usage[k] + 1 > limit[k]:
-                        continue
                     if cnt_j[k] > ncap_j or cnt_i[k] + 1 > ncap_i:
                         continue
                     need_j_only += 1
@@ -518,8 +554,6 @@ class _State:
                         if one_sided >= need:
                             break
                 elif vj == 1:
-                    if usage[k] + 1 > limit[k]:
-                        continue
                     if cnt_i[k] > ncap_i or cnt_j[k] + 1 > ncap_j:
                         continue
                     need_i_only += 1
@@ -622,14 +656,15 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                         continue
                     if st.cnt[v][b] == 0:  # no neighbor holds b
                         continue
+                    if not st.can_hold(v, b, without=a):
+                        continue
                     before = st.secured
                     st.unplace(v, a)
-                    if st.can_hold(v, b):
-                        st.place(v, b)
-                        if st.secured > before:
-                            improved = True
-                            break
-                        st.unplace(v, b)
+                    st.place(v, b)
+                    if st.secured > before:
+                        improved = True
+                        break
+                    st.unplace(v, b)
                     st.place(v, a)
                 if st.val[v][a] != 1:
                     break

@@ -10,6 +10,7 @@ nor the package's Gray-code oracle.
 import itertools
 import random
 
+from qkmp import solver
 from qkmp.graph import Graph, make_graph
 from qkmp.ilp import IlpModel, build_ilp, x_name, y_name, z_name
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
@@ -295,11 +296,35 @@ def rescan_key_pair_caps(st) -> list[int]:
     return caps
 
 
+def rescan_vertex_budgets(st) -> list[int]:
+    """vertex_budgets with every vertex recounted from val and mem.
+
+    Reads the state's ring memory ``mem``; the random walks check that
+    against ring_mem on their own.
+    """
+    inst = st.inst
+    keys_by_mem = sorted(range(st.K), key=lambda k: (inst.mem_per_key[k], k))
+    budgets = []
+    for v in range(st.n):
+        left = inst.capacity[v] - st.mem[v] + solver.BUDGET_SLACK
+        r = 0
+        total = 0.0
+        for k in keys_by_mem:
+            if st.val[v][k] != -1:
+                continue
+            total += inst.mem_per_key[k]
+            if total > left:
+                break
+            r += 1
+        budgets.append(r)
+    return budgets
+
+
 def rescan_bound(st) -> int:
     """The node bound with every edge's keys walked in full, no early exit."""
     inst = st.inst
     q = inst.q
-    budgets = st.vertex_budgets()
+    budgets = rescan_vertex_budgets(st)
     total = 0
     for e, (i, j) in enumerate(st.edges):
         s = st.shared[e]

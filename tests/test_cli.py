@@ -186,10 +186,9 @@ class TestBench:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "config_id,seed,status,objective,bound,gap,wall_time"
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert lines[1].startswith("q1-1,10100,OPTIMAL,")
         assert lines[2].startswith("q1-1,10101,OPTIMAL,")
-        assert lines[3].startswith("q1-1,summary,2,")
 
     def test_base_seed_override(self, tmp_path):
         out = tmp_path / "results.csv"
@@ -227,6 +226,18 @@ class TestReport:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["config", "instances", "solved", "avg", "time", "(s)", "avg", "gap", "(%)"]
         assert lines[1].split()[:3] == ["q1-1", "2", "2"]
+
+    def test_accepts_csv_with_old_summary_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "old.csv"
+        csv_path.write_text(
+            "config_id,seed,status,objective,bound,gap,wall_time\n"
+            "x,1,OPTIMAL,3,3,0.0,0.5\n"
+            "x,2,FEASIBLE_TIMEOUT,2,4,0.5,9.0\n"
+            "x,summary,1,2.5,25.0,50.0,0.5\n"
+        )
+        assert main(["report", str(csv_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["x", "2", "1", "0.500", "50.00"]
 
     def test_reads_stdin(self, capsys, monkeypatch):
         text = (

@@ -10,7 +10,6 @@ from qkmp.harness import (
     ExperimentConfig,
     ExperimentStats,
     InstanceRow,
-    SUMMARY_SEED,
     builtin_tables,
     desk_scale,
     emit_csv,
@@ -233,8 +232,6 @@ class TestStats:
         assert stats.solved_count == 2
         assert stats.avg_time_solved == 2.0
         assert stats.avg_gap_unsolved_pct == 50.0
-        assert stats.avg_gap_all_pct == pytest.approx(100.0 / 6)
-        assert stats.average_objective == 5.0
 
     def test_error_rows_drop_out_of_gap_averages(self):
         stats = self.make(
@@ -245,15 +242,12 @@ class TestStats:
         )
         assert stats.instance_count == 2
         assert stats.solved_count == 1
-        assert stats.avg_gap_all_pct == 0.0
         assert stats.avg_gap_unsolved_pct == 0.0
-        assert stats.average_objective == 4.0
 
     def test_empty_run_edge_cases(self):
         stats = self.make([])
         assert stats.avg_time_solved is None
-        assert stats.avg_gap_all_pct == 0.0
-        assert stats.average_objective == 0.0
+        assert stats.avg_gap_unsolved_pct == 0.0
 
 
 class TestCsv:
@@ -261,25 +255,12 @@ class TestCsv:
         stats = run_experiment(tiny_config(instance_count=2))
         lines = emit_csv(stats).splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
-        assert len(lines) == 4
+        # header and one row per instance, no trailing summary row
+        assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "tiny"
         assert first[1] == "900"
         assert first[2] == OPTIMAL
-        summary = lines[3].split(",")
-        assert summary[1] == SUMMARY_SEED
-        assert summary[2] == str(stats.solved_count)
-
-    def test_summary_row_carries_the_aggregates(self):
-        stats = ExperimentStats(
-            "x",
-            (
-                InstanceRow(1, OPTIMAL, 4, 4, 0.0, 1.0),
-                InstanceRow(2, FEASIBLE_TIMEOUT, 5, 10, 0.5, 7.0),
-            ),
-        )
-        summary = emit_csv(stats).splitlines()[-1].split(",")
-        assert summary == ["x", "summary", "1", "4.5", "25.0", "50.0", "1.0"]
 
     def test_error_row_leaves_cells_empty(self):
         stats = ExperimentStats("x", (InstanceRow(5, "ERROR", None, None, None, None, "boom"),))
@@ -305,7 +286,7 @@ class TestCsv:
         parsed = parse_results_csv(emit_csv(stats))
         rebuilt = ExperimentStats("tiny", tuple(parsed["tiny"]))
         assert rebuilt.solved_count == stats.solved_count
-        assert rebuilt.avg_gap_all_pct == stats.avg_gap_all_pct
+        assert rebuilt.avg_gap_unsolved_pct == stats.avg_gap_unsolved_pct
         assert rebuilt.avg_time_solved == pytest.approx(stats.avg_time_solved)
 
 

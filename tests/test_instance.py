@@ -11,6 +11,7 @@ from qkmp.instance import (
     NEIGHBORHOOD_USE,
     KeyAssignment,
     KmpInstance,
+    Violation,
     derive_z,
     evaluate,
     shared_keys,
@@ -236,3 +237,55 @@ def test_objective_matches_set_intersections(seed):
     report = evaluate(inst, a)
     assert report.objective == expected
     assert report.feasible == (len(report.violations) == 0)
+
+
+def reference_violations(inst, a) -> tuple:
+    """evaluate's violations with every neighborhood cell checked, held or not."""
+    g, x, K = inst.graph, a.x, inst.key_count
+    out = []
+    for i in range(g.n):
+        lhs = sum(inst.mem_per_key[k] * x[i][k] for k in range(K))
+        if lhs > inst.capacity[i]:
+            out.append(Violation(CAPACITY, (i,), lhs, inst.capacity[i]))
+    for i in range(g.n):
+        rhs = inst.neighborhood_cap(i)
+        for k in range(K):
+            lhs = sum(x[i][k] * x[j][k] for j in g.adjacency[i])
+            if lhs > rhs:
+                out.append(Violation(NEIGHBORHOOD_USE, (i, k), lhs, rhs))
+    for k in range(K):
+        lhs = sum(x[i][k] for i in range(g.n))
+        if lhs > inst.usage_limit[k]:
+            out.append(Violation(GLOBAL_USE, (k,), lhs, inst.usage_limit[k]))
+    return tuple(out)
+
+
+def test_violations_match_full_cell_reference():
+    """Skipping unheld cells in the neighborhood check leaves the violations
+    tuple, order included, as a check of every cell gives it."""
+    rng = random.Random(2024)
+    feasible = infeasible = neighborhood = 0
+    for _ in range(300):
+        g = connected_random_graph(rng, rng.randint(2, 7), 0.6)
+        K = rng.randint(1, 5)
+        inst = KmpInstance(
+            graph=g,
+            key_count=K,
+            q=rng.randint(1, 2),
+            p=rng.choice([0.0, 0.2, 0.5, 1.0]),
+            alpha=rng.randint(1, 2),
+            mem_per_key=tuple(rng.choice((0.1, 0.2, 0.5, 1.0)) for _ in range(K)),
+            capacity=tuple(rng.choice((0.3, 0.7, 1.0, 2.0, 5.0)) for _ in range(g.n)),
+            usage_limit=tuple(rng.randint(1, g.n) for _ in range(K)),
+        )
+        density = rng.choice((0.1, 0.3, 0.6, 0.9))
+        a = KeyAssignment.from_rows(
+            [[int(rng.random() < density) for _ in range(K)] for _ in range(g.n)]
+        )
+        report = evaluate(inst, a)
+        assert report.violations == reference_violations(inst, a)
+        assert report.feasible == (not report.violations)
+        feasible += report.feasible
+        infeasible += not report.feasible
+        neighborhood += any(v.constraint == NEIGHBORHOOD_USE for v in report.violations)
+    assert feasible >= 30 and infeasible >= 30 and neighborhood >= 30

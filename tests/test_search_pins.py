@@ -1,10 +1,12 @@
 """Pinned search and heuristic results and the non-dyadic capacity regressions.
 
-The search pins were recorded before the node bound and the objective were
-made incremental, and the greedy pins before the heuristic moved onto the
-search state's own can_hold / place / unplace. Those changes must leave both
-alone, so status, objective, bound, node count and the incumbent's bytes stay
-fixed under a node budget, and so do the bytes of every greedy restart.
+The first search pins were recorded before the node bound and the objective
+were made incremental, the bench-budget pins before the bound cached its
+per-key caps and per-vertex budgets, and the greedy pins before the heuristic
+moved onto the search state's own can_hold / place / unplace. Those changes
+must leave both alone, so status, objective, bound, node count and the
+incumbent's bytes stay fixed under a node budget, and so do the bytes of every
+greedy restart.
 """
 
 import hashlib
@@ -24,6 +26,15 @@ PINS = [
     ("q2-5", 20500, 300, ("FEASIBLE_TIMEOUT", 22, 27, 300), "94bfb12e32f37f39"),
     ("q1-5", 10500, 1200, ("FEASIBLE_TIMEOUT", 27, 30, 1200), "14005d0d1b866533"),
     ("q2-13", 21300, 40, ("FEASIBLE_TIMEOUT", 73, 91, 40), "3ef2bfe15e92e077"),
+]
+
+# recorded before the node bound cached its per-key caps and per-vertex
+# budgets: the heaviest grind-large item at its node budget, and two
+# prove-small items at theirs
+BENCH_PINS = [
+    ("q1-13", 11300, 150, ("FEASIBLE_TIMEOUT", 230, 240, 150), "fb6b8a9639cf0f76"),
+    ("q1-3", 10300, 3000, ("FEASIBLE_TIMEOUT", 16, 17, 3000), "f69b86a9e3e17225"),
+    ("q2-1", 20100, 3000, ("FEASIBLE_TIMEOUT", 10, 12, 3000), "a9b75d1ffea65baf"),
 ]
 
 # incumbent digest of greedy_heuristic(inst, seed) for seeds 0..7, per PINS instance
@@ -73,7 +84,9 @@ def digest(x) -> str:
 
 
 @pytest.mark.parametrize(
-    "config,seed,node_limit,expected,incumbent_digest", PINS, ids=[p[0] for p in PINS]
+    "config,seed,node_limit,expected,incumbent_digest",
+    PINS + BENCH_PINS,
+    ids=[p[0] for p in PINS + BENCH_PINS],
 )
 def test_search_is_pinned(config, seed, node_limit, expected, incumbent_digest):
     inst = get_config(config).build_instance(seed)

@@ -3,9 +3,9 @@
 Random fix / mark / undo_to walks on small instances, with q = 1, 2 and 3
 and with dyadic as well as non-dyadic memory weights. After every step the
 co-holder counts, the secured-edge counter, the ring memory, the key pair
-caps and the node bound must equal what a full rescan of the fixed pattern
-gives. A conflicting fix must change no state, and undoing the whole trail
-must give back a fresh state.
+caps, the vertex budgets and the node bound must equal what a full rescan
+of the fixed pattern gives. A conflicting fix must change no state, and
+undoing the whole trail must give back a fresh state.
 """
 
 import copy
@@ -23,6 +23,7 @@ from helpers import (
     rescan_key_pair_caps,
     rescan_nz,
     rescan_secured,
+    rescan_vertex_budgets,
 )
 
 NON_DYADIC_MEMS = (0.1, 0.2, 0.3, 0.7)
@@ -62,6 +63,7 @@ def assert_matches_rescan(st) -> None:
     decided = [(v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] != -1]
     assert sorted(st.trail) == decided
     assert st.key_pair_caps() == rescan_key_pair_caps(st)
+    assert st.vertex_budgets() == rescan_vertex_budgets(st)
     assert st.bound() == rescan_bound(st)
 
 
@@ -123,3 +125,7 @@ def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
         assert report.feasible
         assert st.secured == rescan_secured(st) == report.objective
         assert st.nz == rescan_nz(st)
+        # the cached bound parts after greedy's place / unplace churn
+        assert st.key_pair_caps() == rescan_key_pair_caps(st)
+        assert st.vertex_budgets() == rescan_vertex_budgets(st)
+        assert st.bound() == rescan_bound(st)
