@@ -116,12 +116,7 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def generate_er(
-    n: int,
-    d: float,
-    seed: int,
-    retry_limit: int = CONNECTIVITY_RETRY_LIMIT,
-) -> Graph:
+def generate_er(n: int, d: float, seed: int) -> Graph:
     """Sample a connected Erdos-Renyi G(n, d) graph with a seeded generator.
 
     Each of the n(n-1)/2 candidate edges is included independently with
@@ -132,7 +127,8 @@ def generate_er(
 
     Raises:
         UnsatisfiableDensityError: d = 0 with n >= 2 (no connected graph exists).
-        RetryExhaustedError: no connected draw within ``retry_limit`` attempts.
+        RetryExhaustedError: no connected draw within
+            ``CONNECTIVITY_RETRY_LIMIT`` attempts.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -144,11 +140,12 @@ def generate_er(
         )
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(retry_limit):
+    for _ in range(CONNECTIVITY_RETRY_LIMIT):
         edges = tuple(pair for pair in pairs if rng.random() < d)
         g = Graph(n=n, edges=edges)
         if is_connected(g):
             return g
     raise RetryExhaustedError(
-        f"no connected G({n}, {d}) draw in {retry_limit} attempts (seed {seed})"
+        f"no connected G({n}, {d}) draw in {CONNECTIVITY_RETRY_LIMIT} attempts"
+        f" (seed {seed})"
     )

@@ -43,12 +43,11 @@ class ExperimentConfig:
     instance_count: int
     time_limit_seconds: float
     base_seed: int
-    alpha: int = 1
 
     def __post_init__(self) -> None:
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
-        if self.time_limit_seconds <= 0:
+        if not self.time_limit_seconds > 0:
             raise ValueError("time_limit_seconds must be positive")
 
     def build_instance(self, seed: int) -> KmpInstance:
@@ -60,7 +59,6 @@ class ExperimentConfig:
             p=self.p,
             capacity=self.c,
             usage_limit=self.t,
-            alpha=self.alpha,
             mem=1,
         )
 
@@ -320,12 +318,8 @@ def get_config(config_id: str) -> ExperimentConfig:
     raise KeyError(f"unknown configuration {config_id!r}")
 
 
-def desk_scale(
-    cfg: ExperimentConfig,
-    instance_count: int = DESK_INSTANCE_COUNT,
-    time_limit: float = DESK_TIME_LIMIT,
-) -> ExperimentConfig:
+def desk_scale(cfg: ExperimentConfig) -> ExperimentConfig:
     """Shrink a full-protocol configuration to desk-friendly effort."""
     return replace(
-        cfg, instance_count=instance_count, time_limit_seconds=time_limit
+        cfg, instance_count=DESK_INSTANCE_COUNT, time_limit_seconds=DESK_TIME_LIMIT
     )

@@ -8,6 +8,7 @@ global key usage), so it stays independent of the linearized model built by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -57,9 +58,11 @@ class KmpInstance:
             raise ValueError("capacity length must equal vertex count")
         if len(self.usage_limit) != self.key_count:
             raise ValueError("usage_limit length must equal key_count")
-        if any(m <= 0 for m in self.mem_per_key):
-            raise ValueError("per-key memory must be positive")
-        if any(c <= 0 for c in self.capacity):
+        # an infinite weight makes evaluate's capacity sum inf * 0 = NaN, and
+        # a NaN capacity compares false against every ring, so both are out
+        if any(not 0 < m < math.inf for m in self.mem_per_key):
+            raise ValueError("per-key memory must be positive and finite")
+        if any(not c > 0 for c in self.capacity):
             raise ValueError("vertex capacities must be positive")
         if any(t < 1 for t in self.usage_limit):
             raise ValueError("usage limits must be at least 1")

@@ -54,7 +54,7 @@ class SolverConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN compares false, so it fails too
             raise ValueError("time_limit must be positive")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be positive when given")
@@ -202,14 +202,13 @@ class _State:
     search goes through ``fix`` / ``undo_to``, which add the trail, the
     forced zeros and ``mem`` on top.
 
-    The node bound's per-key caps and per-vertex budgets are cached in
-    ``caps`` and ``budgets``. Every cell change goes through one of four
-    mutators (``place``, ``unplace``, ``_close`` and the zero branch of
-    ``undo_to``), and each one marks the cell's key and vertex stale. That
-    covers every input: a cap reads column k of ``val`` and ``nz`` and
-    ``usage[k]``, a budget reads row v of ``val`` and ``mem[v]``, which only
-    changes together with row v. ``key_pair_caps`` and ``vertex_budgets``
-    recompute the stale entries only.
+    Every cell change goes through one of two signed mutators: ``_hold``
+    adds or drops a 1, ``_zero`` fixes or reopens a 0. Both mark the cell's
+    key and vertex stale, which keeps the node bound's cached per-key
+    ``caps`` and per-vertex ``budgets`` valid: a cap reads column k of
+    ``val`` and ``nz`` and ``usage[k]``, a budget reads row v of ``val`` and
+    ``mem[v]``, which only changes together with row v. ``key_pair_caps``
+    and ``vertex_budgets`` recompute the stale entries only.
     """
 
     def __init__(self, inst: KmpInstance):
@@ -287,46 +286,39 @@ class _State:
         ``mem`` is left alone: ``fix`` and ``undo_to`` keep it, and the
         heuristic checks capacity through ``fits``.
         """
-        self.val[v][k] = 1
-        self.usage[k] += 1
-        self.stale_keys.add(k)
-        self.stale_vertices.add(v)
-        q = self.inst.q
-        val, cnt, shared = self.val, self.cnt, self.shared
-        for u in self.adj[v]:
-            cnt[u][k] += 1
-            if val[u][k] == 1:
-                e = self.edge_id[(u, v) if u < v else (v, u)]
-                shared[e] += 1
-                if shared[e] == q:
-                    self.secured += 1
-                self.pair_count[k] += 1
+        self._hold(v, k, 1)
 
     def unplace(self, v: int, k: int) -> None:
         """Exact inverse of ``place(v, k)``; the cell is undecided again."""
-        self.val[v][k] = -1
-        self.usage[k] -= 1
+        self._hold(v, k, -1)
+
+    def _hold(self, v: int, k: int, d: int) -> None:
+        """Add key k to v's ring (d = 1) or take it off again (d = -1)."""
+        self.val[v][k] = d  # 1 held, -1 undecided
+        self.usage[k] += d
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
         q = self.inst.q
         val, cnt, shared = self.val, self.cnt, self.shared
         for u in self.adj[v]:
-            cnt[u][k] -= 1
+            cnt[u][k] += d
             if val[u][k] == 1:
                 e = self.edge_id[(u, v) if u < v else (v, u)]
-                if shared[e] == q:
-                    self.secured -= 1
-                shared[e] -= 1
-                self.pair_count[k] -= 1
+                s = shared[e]
+                shared[e] = s + d
+                self.secured += (s + d >= q) - (s >= q)
+                self.pair_count[k] += d
 
-    def _close(self, v: int, k: int) -> None:
-        """Fix the undecided cell (v, k) to 0."""
-        self.val[v][k] = 0
-        self.trail.append((v, k))
+    def _zero(self, v: int, k: int, d: int) -> None:
+        """Fix the undecided cell (v, k) to 0 and push it on the trail
+        (d = 1), or make the popped zero undecided again (d = -1)."""
+        self.val[v][k] = 0 if d > 0 else -1
+        if d > 0:
+            self.trail.append((v, k))
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
         for u in self.adj[v]:
-            self.nz[u][k] -= 1
+            self.nz[u][k] -= d
 
     def fix(self, v: int, k: int, value: int) -> bool:
         """Fix one cell and the zeros it forces. False means conflict, and a
@@ -335,7 +327,7 @@ class _State:
         if cur != -1:
             return cur == value
         if value == 0:
-            self._close(v, k)
+            self._zero(v, k, 1)
             return True
         if not self.can_hold(v, k):
             return False
@@ -350,29 +342,26 @@ class _State:
         if self.usage[k] == inst.usage_limit[k]:
             for w in range(self.n):
                 if val[w][k] == -1:
-                    self._close(w, k)
+                    self._zero(w, k, 1)
         # capacity: keys that no longer fit at v are out. The difference is
         # only a cheap filter; fits() decides, as evaluate() would
         left = inst.capacity[v] - self.mem[v]
         row = val[v]
         for kk in range(self.K):
             if row[kk] == -1 and inst.mem_per_key[kk] > left and not self.fits(v, kk):
-                self._close(v, kk)
+                self._zero(v, kk, 1)
         # neighborhood rows: an undecided neighbor whose row is already over
         # its cap, and the undecided neighbors of every holder at its cap
         # (v included), may not take k anymore
-        if cnt[v][k] == ncap[v]:
-            for u in self.adj[v]:
-                if val[u][k] == -1:
-                    self._close(u, k)
+        v_full = cnt[v][k] == ncap[v]
         for u in self.adj[v]:
             uval = val[u][k]
-            if uval == -1 and cnt[u][k] > ncap[u]:
-                self._close(u, k)
+            if uval == -1 and (v_full or cnt[u][k] > ncap[u]):
+                self._zero(u, k, 1)
             elif uval == 1 and cnt[u][k] == ncap[u]:
                 for w in self.adj[u]:
                     if val[w][k] == -1:
-                        self._close(w, k)
+                        self._zero(w, k, 1)
         return True
 
     def mark(self) -> int:
@@ -387,11 +376,7 @@ class _State:
                 self.unplace(v, k)
                 self.mem[v] = self.ring_mem(v)
             else:
-                for u in self.adj[v]:
-                    self.nz[u][k] += 1
-                self.val[v][k] = -1
-                self.stale_keys.add(k)
-                self.stale_vertices.add(v)
+                self._zero(v, k, -1)
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern; always feasible."""
@@ -513,7 +498,16 @@ class _State:
         return secured + min(unsec, first_units + extras)
 
     def bound(self) -> int:
-        """Admissible completion bound: count edges not yet ruled out."""
+        """Admissible completion bound: count edges not yet ruled out.
+
+        An open edge (i, j) that lacks ``need`` shared keys, with budgets bi,
+        bj and ni keys addable at i only, nj at j only and nb at both, gains
+        at most max over c of min(ni, bi - c) + min(nj, bj - c) + c. That
+        reaches ``need`` iff bi + bj, ni + nj + nb, ni + bj and nj + bi all
+        do. For q = 1 the coverage bound alone caps the total: every cap is
+        at least its key's ``pair_count``, so ``coverage_bound(caps)`` is at
+        most sum(caps) and the cap sum(caps) // q never binds there.
+        """
         inst = self.inst
         q = inst.q
         budgets = self.vertex_budgets()
@@ -531,16 +525,12 @@ class _State:
             bi, bj = budgets[i], budgets[j]
             if bi + bj < need:
                 continue  # every completion adds at most bi + bj shared keys
-            need_i_only = 0  # key held by j, addable at i
-            need_j_only = 0
-            need_both = 0
-            # min(need_i_only, bi) + min(need_j_only, bj): one-sided keys alone
-            one_sided = 0
+            ni = nj = nb = 0  # keys addable at i only, at j only, at both
             vi_row, vj_row = self.val[i], self.val[j]
             cnt_i, cnt_j = self.cnt[i], self.cnt[j]
             ncap_i, ncap_j = ncap[i], ncap[j]
-            # stop as soon as the edge is provably securable; more keys only
-            # raise the best completion, so the count is the same either way
+            # stop at the first key that makes the edge securable; the test
+            # is monotone in the counts, so the answer is the full walk's
             for k in live:
                 vi, vj = vi_row[k], vj_row[k]
                 if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
@@ -548,42 +538,24 @@ class _State:
                 if vi == 1:
                     if cnt_j[k] > ncap_j or cnt_i[k] + 1 > ncap_i:
                         continue
-                    need_j_only += 1
-                    if need_j_only <= bj:
-                        one_sided += 1
-                        if one_sided >= need:
-                            break
+                    nj += 1
                 elif vj == 1:
                     if cnt_i[k] > ncap_i or cnt_j[k] + 1 > ncap_j:
                         continue
-                    need_i_only += 1
-                    if need_i_only <= bi:
-                        one_sided += 1
-                        if one_sided >= need:
-                            break
+                    ni += 1
                 else:
                     if usage[k] + 2 > limit[k]:
                         continue
                     if cnt_i[k] + 1 > ncap_i or cnt_j[k] + 1 > ncap_j:
                         continue
-                    need_both += 1
-                    if need_both >= need and bi >= need and bj >= need:
-                        break
-            else:
-                best = 0
-                for c in range(min(need_both, bi, bj) + 1):
-                    a = min(need_i_only, bi - c)
-                    b = min(need_j_only, bj - c)
-                    if a + b + c > best:
-                        best = a + b + c
-                if best < need:
-                    continue
-            total += 1
+                    nb += 1
+                if ni + nj + nb >= need and ni + bj >= need and nj + bi >= need:
+                    total += 1
+                    break
         caps = self.key_pair_caps()
-        total = min(total, sum(caps) // q)
         if q == 1:
-            total = min(total, self.coverage_bound(caps))
-        return total
+            return min(total, self.coverage_bound(caps))
+        return min(total, sum(caps) // q)
 
 
 def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
@@ -691,7 +663,6 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     start = time.perf_counter()
     st = _State(inst)
     order = _branch_order(inst)
-    pos_in_order = {vk: idx for idx, vk in enumerate(order)}
     n_cells = len(order)
     K = inst.key_count
     mem = inst.mem_per_key
@@ -738,53 +709,46 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
 
     nodes = 0
     status = OPTIMAL
-    upper = max(root_bound, best_obj)
+    # frame: [position in branch order, untried values, trail mark, bound];
+    # a warm start that meets the root bound leaves nothing to search
+    stack = [[0, [0, 1], st.mark(), root_bound]] if root_bound > best_obj else []
+    while stack:
+        frame = stack[-1]
+        st.undo_to(frame[2])
+        if cfg.node_limit is not None and nodes >= cfg.node_limit:
+            status = FEASIBLE_TIMEOUT
+            break
+        if time.perf_counter() - start > cfg.time_limit:
+            status = FEASIBLE_TIMEOUT
+            break
+        if not frame[1]:
+            stack.pop()
+            continue
+        value = frame[1].pop()  # 1 first, then 0
+        nodes += 1
+        v, k = order[frame[0]]
+        if value == 1 and not lex_allows_one(v, k):
+            continue
+        if not st.fix(v, k, value):
+            continue
+        obj_now = st.secured
+        if obj_now > best_obj:
+            best_obj = obj_now
+            best_rows = st.materialize()
+        node_bound = st.bound()
+        if node_bound <= best_obj:
+            continue
+        nxt = frame[0] + 1
+        while nxt < n_cells and st.val[order[nxt][0]][order[nxt][1]] != -1:
+            nxt += 1
+        if nxt >= n_cells:
+            continue
+        stack.append([nxt, [0, 1], st.mark(), node_bound])
 
-    if root_bound <= best_obj:
-        upper = best_obj
-    else:
-        # frame: [position in branch order, untried values, trail mark, bound]
-        stack = [[0, [0, 1], st.mark(), root_bound]]
-        while stack:
-            frame = stack[-1]
-            st.undo_to(frame[2])
-            if cfg.node_limit is not None and nodes >= cfg.node_limit:
-                status = FEASIBLE_TIMEOUT
-                break
-            if time.perf_counter() - start > cfg.time_limit:
-                status = FEASIBLE_TIMEOUT
-                break
-            if not frame[1]:
-                stack.pop()
-                continue
-            value = frame[1].pop()  # 1 first, then 0
-            nodes += 1
-            v, k = order[frame[0]]
-            if value == 1 and not lex_allows_one(v, k):
-                continue
-            if not st.fix(v, k, value):
-                continue
-            obj_now = st.secured
-            if obj_now > best_obj:
-                best_obj = obj_now
-                best_rows = st.materialize()
-            node_bound = st.bound()
-            if node_bound <= best_obj:
-                continue
-            nxt = frame[0] + 1
-            while nxt < n_cells and st.val[order[nxt][0]][order[nxt][1]] != -1:
-                nxt += 1
-            if nxt >= n_cells:
-                continue
-            stack.append([nxt, [0, 1], st.mark(), node_bound])
-
-        if status == OPTIMAL:
-            upper = best_obj
-        else:
-            open_bounds = [f[3] for f in stack if f[1]]
-            if stack:
-                open_bounds.append(stack[-1][3])
-            upper = max([best_obj] + open_bounds)
+    upper = best_obj
+    if status != OPTIMAL:
+        # open: the frame the loop broke at and every frame with untried values
+        upper = max([best_obj, stack[-1][3]] + [f[3] for f in stack if f[1]])
 
     incumbent = KeyAssignment(best_rows)
     final = evaluate(inst, incumbent)

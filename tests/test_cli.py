@@ -86,6 +86,23 @@ class TestSolve:
         assert main(["solve", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_capacity_is_refused(self, tmp_path, capsys):
+        # json reads NaN; solved, vertex 0 would fit no key and the triangle
+        # would come out OPTIMAL 1 where the optimum is 3
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}, "key_count": 2,'
+            ' "q": 1, "p": 1.0, "alpha": 1, "mem_per_key": [1, 1],'
+            ' "capacity": [NaN, 2, 2], "usage_limit": [3, 3]}'
+        )
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_time_limit_is_refused(self, tmp_path, capsys):
+        path = gen_instance_file(tmp_path)
+        assert main(["solve", str(path), "--time-limit", "nan"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestExport:
     def test_mps_round_trip(self, tmp_path, capsys):

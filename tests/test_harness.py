@@ -74,7 +74,6 @@ class TestBuiltinTables:
         assert cfg.instance_count == 100
         assert cfg.time_limit_seconds == 7200.0
         assert cfg.base_seed == 10100
-        assert cfg.alpha == 1
 
     def test_last_large_row(self):
         cfg = get_config("q1-13")
@@ -112,11 +111,6 @@ class TestBuiltinTables:
                 continue
             assert getattr(desk, fld.name) == getattr(full, fld.name)
 
-    def test_desk_scale_accepts_overrides(self):
-        desk = desk_scale(get_config("q2-3"), instance_count=5, time_limit=10.0)
-        assert desk.instance_count == 5
-        assert desk.time_limit_seconds == 10.0
-
 
 class TestExperimentConfig:
     def test_rejects_empty_run(self):
@@ -126,6 +120,10 @@ class TestExperimentConfig:
     def test_rejects_nonpositive_time_limit(self):
         with pytest.raises(ValueError):
             tiny_config(time_limit_seconds=0.0)
+
+    def test_rejects_nan_time_limit(self):
+        with pytest.raises(ValueError):
+            tiny_config(time_limit_seconds=float("nan"))
 
     def test_build_instance_is_deterministic(self):
         cfg = tiny_config()

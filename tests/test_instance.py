@@ -57,6 +57,9 @@ class TestInstanceValidation:
             {"capacity": (2.0, 2.0, 0.0)},
             {"usage_limit": (3, 0)},
             {"usage_limit": (3,)},
+            {"capacity": (float("nan"), 2.0, 2.0)},
+            {"mem_per_key": (1.0, float("nan"))},
+            {"mem_per_key": (1.0, float("inf"))},
         ],
     )
     def test_rejects_bad_parameters(self, overrides):

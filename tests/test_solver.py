@@ -66,6 +66,7 @@ class TestSolverConfig:
             {"time_limit": -5.0},
             {"node_limit": -3},
             {"node_limit": 0},
+            {"time_limit": float("nan")},
         ],
     )
     def test_rejects_bad_config(self, kwargs):

@@ -5,7 +5,8 @@ and with dyadic as well as non-dyadic memory weights. After every step the
 co-holder counts, the secured-edge counter, the ring memory, the key pair
 caps, the vertex budgets and the node bound must equal what a full rescan
 of the fixed pattern gives. A conflicting fix must change no state, and
-undoing the whole trail must give back a fresh state.
+undoing the whole trail must give back a fresh state. After every fix, no
+undecided cell may be left open that a usage or neighborhood row forbids.
 """
 
 import copy
@@ -129,3 +130,36 @@ def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
         assert st.key_pair_caps() == rescan_key_pair_caps(st)
         assert st.vertex_budgets() == rescan_vertex_budgets(st)
         assert st.bound() == rescan_bound(st)
+
+
+def assert_propagated(st) -> None:
+    """No undecided cell is left open that a usage or neighborhood row
+    already forbids: fix closes those as soon as they arise."""
+    for k in range(st.K):
+        saturated = st.usage[k] >= st.inst.usage_limit[k]
+        for u in range(st.n):
+            if st.val[u][k] != -1:
+                continue
+            assert not saturated
+            assert st.cnt[u][k] <= st.ncap[u]
+            # a holder at its cap, whoever was fixed last, takes no more co-holders
+            assert not any(
+                st.val[w][k] == 1 and st.cnt[w][k] >= st.ncap[w] for w in st.adj[u]
+            )
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_fix_closes_every_cell_a_row_forbids(q, mems):
+    rng = random.Random(500 + 10 * q + (mems is DYADIC_MEMS))
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        for _ in range(30):
+            open_cells = [
+                (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+            ]
+            if not open_cells:
+                break
+            v, k = rng.choice(open_cells)
+            st.fix(v, k, 1 if rng.random() < 0.7 else 0)
+            assert_propagated(st)
