@@ -1,7 +1,7 @@
 """Exact solvers for the key distribution model.
 
 Three entry points: ``solve_bb`` is a deterministic depth-first
-branch-and-bound over the x variables with constraint propagation;
+branch-and-bound that branches on edges, with constraint propagation;
 ``brute_force`` enumerates every binary assignment and is the correctness
 oracle for small instances; ``greedy_heuristic`` builds a feasible warm
 start and is also usable on its own.
@@ -9,6 +9,9 @@ start and is also usable on its own.
 The search never relaxes to an LP. Its node bound treats each unsatisfied
 edge as securable unless the fixed pattern, the per-key usage budgets, or
 the vertex memory budgets rule it out, which keeps the bound admissible.
+The search state keeps, per edge, how many keys could still be added at one
+endpoint or at both; the bound decides each edge from those counts, and the
+search branches on the open edge with the fewest of them (fail first).
 
 ``brute_force`` shares no state or code with the search: it walks the codes
 in Gray-code order with counts of its own and decides feasibility with the
@@ -21,6 +24,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from .instance import KeyAssignment, KmpInstance, evaluate
 
@@ -41,6 +45,13 @@ GREEDY_RESTARTS = 8
 # key that misses by less than this margin for admissibility; integer and
 # dyadic weights never come that close.
 BUDGET_SLACK = 1e-9
+
+# status of key k on an edge (i, j), as the node bound reads it: k cannot add
+# a shared key there, or it can by joining i's ring only, j's only, or both
+NOT_ADDABLE, AT_I, AT_J, AT_BOTH = 0, 1, 2, 3
+
+# the last child of every search frame: leave the frame's edge unsecured
+GIVE_UP = -1
 
 
 class InstanceTooLargeError(ValueError):
@@ -200,7 +211,8 @@ class _State:
 
     Both set a 1 only through ``can_hold`` / ``place`` / ``unplace``. The
     search goes through ``fix`` / ``undo_to``, which add the trail, the
-    forced zeros and ``mem`` on top.
+    forced zeros and ``mem`` on top, and through ``give_up``, after which
+    ``fix`` keeps that edge below q shared keys.
 
     Every cell change goes through one of two signed mutators: ``_hold``
     adds or drops a 1, ``_zero`` fixes or reopens a 0. Both mark the cell's
@@ -209,6 +221,16 @@ class _State:
     ``val`` and ``nz`` and ``usage[k]``, a budget reads row v of ``val`` and
     ``mem[v]``, which only changes together with row v. ``key_pair_caps``
     and ``vertex_budgets`` recompute the stale entries only.
+
+    The per-edge key counts work the same way. Key k's status on edge
+    (i, j) reads ``val``, ``cnt`` and ``usage`` at column k, so a cell
+    (v, k) moves it on the edges at v (its ``val``) and, for a 1, on the
+    edges at v's neighbours (their ``cnt``); a change of ``usage[k]`` that
+    enters or leaves ``limit - 1`` or ``limit`` moves it on every edge. The
+    mutators mark those (vertex, key) cells or the whole key stale, and the
+    next ``bound`` or ``edge_counts`` recounts the stale statuses only. The
+    first such call builds the counts, so the heuristic, which never
+    bounds, never pays for them.
     """
 
     def __init__(self, inst: KmpInstance):
@@ -219,6 +241,11 @@ class _State:
         self.adj = [tuple(sorted(g.adjacency[i])) for i in range(g.n)]
         self.edges = list(g.edges)
         self.edge_id = {e: idx for idx, e in enumerate(self.edges)}
+        # per vertex, the id of the edge to each neighbour in adj order
+        self.incident = [
+            tuple(self.edge_id[(v, u) if v < u else (u, v)] for u in self.adj[v])
+            for v in range(g.n)
+        ]
         # floor of the fractional cap: integer lhs <= float rhs iff lhs <= floor(rhs)
         self.ncap = [math.floor(inst.neighborhood_cap(i)) for i in range(g.n)]
         self.val = [[-1] * self.K for _ in range(g.n)]
@@ -242,6 +269,14 @@ class _State:
         # per vertex: its val row, its nz row and its ncap, for column scans;
         # the rows are the live lists, so the tuples never go stale
         self.vertex_rows = list(zip(self.val, self.nz, self.ncap))
+        # key k's status on edge e at status[k][e], and per edge the number
+        # of keys in each status; None until edge_counts first runs
+        self.status: list[list[int]] | None = None
+        self.tally: list[list[int]] = []
+        self.stale_cells: set[tuple[int, int]] = set()  # recount k at v's edges
+        self.stale_count_keys: set[int] = set()  # recount k on every edge
+        # edges the search has given up (see give_up); bound() counts none
+        self.given_up = [False] * len(self.edges)
 
     def ring_mem(self, v: int, extra: int = -1, without: int = -1) -> float:
         """Capacity lhs of v's ring plus key ``extra`` and minus key
@@ -295,15 +330,21 @@ class _State:
     def _hold(self, v: int, k: int, d: int) -> None:
         """Add key k to v's ring (d = 1) or take it off again (d = -1)."""
         self.val[v][k] = d  # 1 held, -1 undecided
-        self.usage[k] += d
+        used = self.usage[k] = self.usage[k] + d
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
+        if self.status is not None:
+            # did usage[k] enter or leave limit - 1 or limit?
+            if max(used, used - d) >= self.inst.usage_limit[k] - 1:
+                self.stale_count_keys.add(k)
+            else:
+                # the edges at v are among the edges at its neighbours
+                self.stale_cells.update(zip(self.adj[v], repeat(k)))
         q = self.inst.q
         val, cnt, shared = self.val, self.cnt, self.shared
-        for u in self.adj[v]:
+        for u, e in zip(self.adj[v], self.incident[v]):
             cnt[u][k] += d
             if val[u][k] == 1:
-                e = self.edge_id[(u, v) if u < v else (v, u)]
                 s = shared[e]
                 shared[e] = s + d
                 self.secured += (s + d >= q) - (s >= q)
@@ -317,6 +358,8 @@ class _State:
             self.trail.append((v, k))
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
+        if self.status is not None:
+            self.stale_cells.add((v, k))
         for u in self.adj[v]:
             self.nz[u][k] -= d
 
@@ -354,7 +397,8 @@ class _State:
         # its cap, and the undecided neighbors of every holder at its cap
         # (v included), may not take k anymore
         v_full = cnt[v][k] == ncap[v]
-        for u in self.adj[v]:
+        q1 = inst.q - 1
+        for u, e in zip(self.adj[v], self.incident[v]):
             uval = val[u][k]
             if uval == -1 and (v_full or cnt[u][k] > ncap[u]):
                 self._zero(u, k, 1)
@@ -362,7 +406,31 @@ class _State:
                 for w in self.adj[u]:
                     if val[w][k] == -1:
                         self._zero(w, k, 1)
+            # a given-up edge one key short of q takes no further shared key
+            if self.given_up[e] and self.shared[e] == q1:
+                if val[u][k] == 1:
+                    self._seal(e)  # k was the (q-1)-th shared key
+                elif val[u][k] == -1:
+                    self._zero(u, k, 1)
         return True
+
+    def give_up(self, e: int) -> None:
+        """Keep edge e unsecured from here on: no completion may give it q
+        shared keys. The search clears ``given_up[e]`` again when it backs
+        out past this call; the zeros it forces sit on the trail."""
+        self.given_up[e] = True
+        if self.shared[e] == self.inst.q - 1:
+            self._seal(e)
+
+    def _seal(self, e: int) -> None:
+        """Close every undecided cell that would give edge e one more shared key."""
+        i, j = self.edges[e]
+        row_i, row_j = self.val[i], self.val[j]
+        for k in range(self.K):
+            if row_i[k] == 1 and row_j[k] == -1:
+                self._zero(j, k, 1)
+            elif row_j[k] == 1 and row_i[k] == -1:
+                self._zero(i, k, 1)
 
     def mark(self) -> int:
         return len(self.trail)
@@ -497,61 +565,95 @@ class _State:
             budget -= take + 1
         return secured + min(unsec, first_units + extras)
 
+    def edge_counts(self) -> list[list[int]]:
+        """Per edge (i, j), how many keys stand in each status: not
+        addable, addable at i only, at j only and at both.
+
+        A key counts as addable only while it is below its usage limit, and
+        at both only while two more holders fit its limit. It is addable at
+        i only when j holds it, i does not and may, and i's row and j's
+        both stay within their caps with the new co-holder; the other cases
+        mirror that. Capacity is left to the vertex budgets. The first call
+        builds the statuses, later calls recount the stale ones.
+        """
+        E, K = len(self.edges), self.K
+        if self.status is None:
+            self.status = [[NOT_ADDABLE] * E for _ in range(K)]
+            self.tally = [[K, 0, 0, 0] for _ in range(E)]
+            self.stale_count_keys.update(range(K))
+        full = self.stale_count_keys
+        for k in full:
+            self._recount(k, range(E))
+        usage, limit = self.usage, self.inst.usage_limit
+        for v, k in self.stale_cells:
+            # a key at its limit is NOT_ADDABLE everywhere since it got there
+            if k not in full and usage[k] < limit[k]:
+                self._recount(k, self.incident[v])
+        full.clear()
+        self.stale_cells.clear()
+        return self.tally
+
+    def _recount(self, k: int, edge_ids) -> None:
+        """Set key k's status on the given edges afresh and move the tallies."""
+        used, limit = self.usage[k], self.inst.usage_limit[k]
+        live = used < limit
+        pair = used + 2 <= limit
+        val, cnt, ncap = self.val, self.cnt, self.ncap
+        edges, status, tally = self.edges, self.status[k], self.tally
+        for e in edge_ids:
+            new = NOT_ADDABLE
+            if live:
+                i, j = edges[e]
+                vi, vj = val[i][k], val[j][k]
+                if vi == 1:
+                    if vj == -1 and cnt[j][k] <= ncap[j] and cnt[i][k] < ncap[i]:
+                        new = AT_J
+                elif vj == 1:
+                    if vi == -1 and cnt[i][k] <= ncap[i] and cnt[j][k] < ncap[j]:
+                        new = AT_I
+                elif (
+                    pair and vi == -1 and vj == -1
+                    and cnt[i][k] < ncap[i] and cnt[j][k] < ncap[j]
+                ):
+                    new = AT_BOTH
+            old = status[e]
+            if old != new:
+                status[e] = new
+                t = tally[e]
+                t[old] -= 1
+                t[new] += 1
+
     def bound(self) -> int:
         """Admissible completion bound: count edges not yet ruled out.
 
         An open edge (i, j) that lacks ``need`` shared keys, with budgets bi,
-        bj and ni keys addable at i only, nj at j only and nb at both, gains
-        at most max over c of min(ni, bi - c) + min(nj, bj - c) + c. That
-        reaches ``need`` iff bi + bj, ni + nj + nb, ni + bj and nj + bi all
-        do. For q = 1 the coverage bound alone caps the total: every cap is
-        at least its key's ``pair_count``, so ``coverage_bound(caps)`` is at
-        most sum(caps) and the cap sum(caps) // q never binds there.
+        bj and ni keys addable at i only, nj at j only and nb at both (see
+        ``edge_counts``), gains at most max over c of min(ni, bi - c) +
+        min(nj, bj - c) + c. That reaches ``need`` iff bi + bj, ni + nj + nb,
+        ni + bj and nj + bi all do. A given-up edge counts for nothing: the
+        bound covers the completions that leave it unsecured. For q = 1 the
+        coverage bound alone caps the total: every cap is at least its key's
+        ``pair_count``, so ``coverage_bound(caps)`` is at most sum(caps) and
+        the cap sum(caps) // q never binds there.
         """
-        inst = self.inst
-        q = inst.q
+        q = self.inst.q
         budgets = self.vertex_budgets()
-        usage, limit, ncap = self.usage, inst.usage_limit, self.ncap
-        # a key at its usage limit joins no further ring and so secures no
-        # open edge; the edge loop walks only the others
-        live = [k for k in range(self.K) if usage[k] < limit[k]]
         total = 0
-        for e, (i, j) in enumerate(self.edges):
-            s = self.shared[e]
+        for (i, j), s, (_, ni, nj, nb), gone in zip(
+            self.edges, self.shared, self.edge_counts(), self.given_up
+        ):
+            if gone:
+                continue
             if s >= q:
                 total += 1
                 continue
             need = q - s
             bi, bj = budgets[i], budgets[j]
-            if bi + bj < need:
-                continue  # every completion adds at most bi + bj shared keys
-            ni = nj = nb = 0  # keys addable at i only, at j only, at both
-            vi_row, vj_row = self.val[i], self.val[j]
-            cnt_i, cnt_j = self.cnt[i], self.cnt[j]
-            ncap_i, ncap_j = ncap[i], ncap[j]
-            # stop at the first key that makes the edge securable; the test
-            # is monotone in the counts, so the answer is the full walk's
-            for k in live:
-                vi, vj = vi_row[k], vj_row[k]
-                if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
-                    continue
-                if vi == 1:
-                    if cnt_j[k] > ncap_j or cnt_i[k] + 1 > ncap_i:
-                        continue
-                    nj += 1
-                elif vj == 1:
-                    if cnt_i[k] > ncap_i or cnt_j[k] + 1 > ncap_j:
-                        continue
-                    ni += 1
-                else:
-                    if usage[k] + 2 > limit[k]:
-                        continue
-                    if cnt_i[k] + 1 > ncap_i or cnt_j[k] + 1 > ncap_j:
-                        continue
-                    nb += 1
-                if ni + nj + nb >= need and ni + bj >= need and nj + bi >= need:
-                    total += 1
-                    break
+            if (
+                bi + bj >= need and ni + nj + nb >= need
+                and ni + bj >= need and nj + bi >= need
+            ):
+                total += 1
         caps = self.key_pair_caps()
         if q == 1:
             return min(total, self.coverage_bound(caps))
@@ -580,16 +682,15 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
         placed: list[tuple[int, int]] = []
         tie = [rng.random() for _ in range(K)]
         # one-addition candidates first, then fresh keys, least used first
-        candidates = sorted(
-            (k for k in range(K) if not (st.val[i][k] == 1 and st.val[j][k] == 1)),
-            key=lambda k: (
-                (st.val[i][k] != 1 and st.val[j][k] != 1),
-                st.usage[k],
-                tie[k],
-                k,
-            ),
+        vi, vj, usage = st.val[i], st.val[j], st.usage
+        ranked = sorted(
+            [
+                (vi[k] != 1 and vj[k] != 1, usage[k], tie[k], k)
+                for k in range(K)
+                if vi[k] != 1 or vj[k] != 1
+            ]
         )
-        for k in candidates:
+        for _, _, _, k in ranked:
             if st.shared[e] >= q:
                 break
             missing = [v for v in (i, j) if st.val[v][k] != 1]
@@ -644,49 +745,33 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
     return KeyAssignment(rows)
 
 
-def _branch_order(inst: KmpInstance) -> list[tuple[int, int]]:
-    g = inst.graph
-    vertices = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    return [(v, k) for v in vertices for k in range(inst.key_count)]
-
-
 def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
-    """Deterministic exact branch-and-bound over the key matrix.
+    """Deterministic exact branch-and-bound that branches on edges.
 
-    Branches highest-degree vertex first, keys in index order, value 1
-    before 0. After each decision the propagator fixes forced zeros from
-    capacity, usage saturation, and neighborhood saturation. Zero-completion
-    of the fixed pattern is always feasible and feeds the incumbent. On a
-    time or node limit the best open-node bound certifies the reported gap.
+    Each node picks the open edge (fewer than q shared keys, not given up)
+    with the fewest keys that could still add a shared key there (fail
+    first; ties go to the lowest edge id) and tries, in order: each such key
+    held at one endpoint, in key order; each such key held at neither
+    endpoint, where the unused keys of one run of adjacent keys with equal
+    weight and usage limit count once, as the run's lowest-index unused key;
+    and last, giving the edge up. Unused keys of one run are
+    interchangeable: they hold the same column, and a ring's key-index
+    order sum cannot tell which of them it holds. For q >= 2 a key whose
+    sibling is exhausted is forbidden on that edge in the later siblings,
+    and such a key stops standing in for its run. A given-up edge stays
+    unsecured below its frame (``_State.give_up``), so the node bound,
+    the lesser of the parent's and ``_State.bound``, counts none of the
+    given-up edges. After each placement the propagator fixes forced zeros
+    from capacity, usage saturation, neighborhood saturation and given-up
+    edges. Zero-completion of the fixed pattern is always feasible and
+    feeds the incumbent. On a time or node limit the best open-node bound
+    certifies the reported gap.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
     st = _State(inst)
-    order = _branch_order(inst)
-    n_cells = len(order)
     K = inst.key_count
-    mem = inst.mem_per_key
-    tlim = inst.usage_limit
-
-    # adjacent keys with identical parameters are interchangeable; insist
-    # their columns come out lexicographically non-increasing along the
-    # branch order, which prunes permuted duplicates of the same solution
-    same_class = [
-        k > 0 and mem[k] == mem[k - 1] and tlim[k] == tlim[k - 1] for k in range(K)
-    ]
-    vertex_seq = [v for v, k in order if k == 0]
-
-    def lex_allows_one(v: int, k: int) -> bool:
-        if not same_class[k]:
-            return True
-        for u in vertex_seq:
-            if u == v:
-                break
-            a, b = st.val[u][k - 1], st.val[u][k]
-            if a != b:
-                # prefix already strictly ordered (a > b); nothing to enforce
-                return True
-        return st.val[v][k - 1] == 1
+    q = inst.q
 
     root_bound = st.bound()
     # the all-zero assignment is feasible for every valid instance
@@ -707,48 +792,92 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         if best_obj >= root_bound:
             break
 
+    mem, limit = inst.mem_per_key, inst.usage_limit
+    run_of = []  # the first key of k's run of equal adjacent keys
+    for k in range(K):
+        same = k and mem[k] == mem[k - 1] and limit[k] == limit[k - 1]
+        run_of.append(run_of[k - 1] if same else k)
+    given_up = st.given_up
+    forbidden: list[set[int]] = [set() for _ in st.edges]  # per edge, for q >= 2
+    forbid_count = [0] * K  # edges each key is forbidden on
+    status, tally, shared, usage = st.status, st.tally, st.shared, st.usage
+
+    def new_frame(node_bound: int) -> list | None:
+        """[edge, children, next child, trail mark, bound], or None at a leaf."""
+        edge, fewest = -1, K + 1
+        for e, t in enumerate(tally):
+            # t[NOT_ADDABLE] + ni + nj + nb == K
+            if shared[e] < q and not given_up[e] and K - t[NOT_ADDABLE] < fewest:
+                edge, fewest = e, K - t[NOT_ADDABLE]
+        if edge < 0:
+            return None
+        held, fresh, runs = [], [], set()
+        off = forbidden[edge]
+        for k, column in enumerate(status):
+            s = column[edge]
+            if s == NOT_ADDABLE or k in off:
+                continue
+            if s != AT_BOTH:
+                held.append(k)
+            elif usage[k] or forbid_count[k]:
+                fresh.append(k)  # a class of its own
+            elif run_of[k] not in runs:
+                runs.add(run_of[k])
+                fresh.append(k)
+        return [edge, held + fresh + [GIVE_UP], 0, st.mark(), node_bound]
+
     nodes = 0
-    status = OPTIMAL
-    # frame: [position in branch order, untried values, trail mark, bound];
+    result = OPTIMAL
     # a warm start that meets the root bound leaves nothing to search
-    stack = [[0, [0, 1], st.mark(), root_bound]] if root_bound > best_obj else []
+    root = new_frame(root_bound) if root_bound > best_obj else None
+    stack = [root] if root else []
     while stack:
         frame = stack[-1]
-        st.undo_to(frame[2])
+        e, children, pos, mark, frame_bound = frame
+        st.undo_to(mark)
         if cfg.node_limit is not None and nodes >= cfg.node_limit:
-            status = FEASIBLE_TIMEOUT
+            result = FEASIBLE_TIMEOUT
             break
         if time.perf_counter() - start > cfg.time_limit:
-            status = FEASIBLE_TIMEOUT
+            result = FEASIBLE_TIMEOUT
             break
-        if not frame[1]:
+        if pos == len(children):
             stack.pop()
+            given_up[e] = False
+            if q >= 2:
+                for k in children[:-1]:
+                    forbidden[e].discard(k)
+                    forbid_count[k] -= 1
             continue
-        value = frame[1].pop()  # 1 first, then 0
+        if pos and q >= 2:
+            # every completion sharing the previous key on e was searched
+            k = children[pos - 1]
+            forbidden[e].add(k)
+            forbid_count[k] += 1
+        frame[2] = pos + 1
+        k = children[pos]
         nodes += 1
-        v, k = order[frame[0]]
-        if value == 1 and not lex_allows_one(v, k):
-            continue
-        if not st.fix(v, k, value):
+        if k == GIVE_UP:
+            st.give_up(e)
+        elif not all(st.fix(v, k, 1) for v in st.edges[e]):
             continue
         obj_now = st.secured
         if obj_now > best_obj:
             best_obj = obj_now
             best_rows = st.materialize()
-        node_bound = st.bound()
+        node_bound = min(frame_bound, st.bound())
         if node_bound <= best_obj:
             continue
-        nxt = frame[0] + 1
-        while nxt < n_cells and st.val[order[nxt][0]][order[nxt][1]] != -1:
-            nxt += 1
-        if nxt >= n_cells:
-            continue
-        stack.append([nxt, [0, 1], st.mark(), node_bound])
+        child = new_frame(node_bound)
+        if child:
+            stack.append(child)
 
     upper = best_obj
-    if status != OPTIMAL:
-        # open: the frame the loop broke at and every frame with untried values
-        upper = max([best_obj, stack[-1][3]] + [f[3] for f in stack if f[1]])
+    if result != OPTIMAL:
+        # open: the frame the loop broke at and every frame with untried children
+        upper = max(
+            [best_obj, stack[-1][4]] + [f[4] for f in stack if f[2] < len(f[1])]
+        )
 
     incumbent = KeyAssignment(best_rows)
     final = evaluate(inst, incumbent)
@@ -763,7 +892,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
             wall_time=time.perf_counter() - start,
         )
     return SolveResult(
-        status=status,
+        status=result,
         incumbent=incumbent,
         lower_bound=best_obj,
         upper_bound=upper,

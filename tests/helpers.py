@@ -320,18 +320,13 @@ def rescan_vertex_budgets(st) -> list[int]:
     return budgets
 
 
-def rescan_bound(st) -> int:
-    """The node bound with every edge's keys walked in full, no early exit."""
+def rescan_edge_counts(st) -> list[list[int]]:
+    """Per edge (i, j): the keys addable at i only, at j only and at both,
+    every key of every edge tested afresh from val, cnt and usage."""
     inst = st.inst
-    q = inst.q
-    budgets = rescan_vertex_budgets(st)
-    total = 0
-    for e, (i, j) in enumerate(st.edges):
-        s = st.shared[e]
-        if s >= q:
-            total += 1
-            continue
-        need_i_only = need_j_only = need_both = 0
+    counts = []
+    for i, j in st.edges:
+        i_only = j_only = both = 0
         for k in range(st.K):
             vi, vj = st.val[i][k], st.val[j][k]
             if vi == 0 or vj == 0 or (vi == 1 and vj == 1):
@@ -341,19 +336,40 @@ def rescan_bound(st) -> int:
                     continue
                 if st.cnt[j][k] > st.ncap[j] or st.cnt[i][k] + 1 > st.ncap[i]:
                     continue
-                need_j_only += 1
+                j_only += 1
             elif vj == 1:
                 if st.usage[k] + 1 > inst.usage_limit[k]:
                     continue
                 if st.cnt[i][k] > st.ncap[i] or st.cnt[j][k] + 1 > st.ncap[j]:
                     continue
-                need_i_only += 1
+                i_only += 1
             else:
                 if st.usage[k] + 2 > inst.usage_limit[k]:
                     continue
                 if st.cnt[i][k] + 1 > st.ncap[i] or st.cnt[j][k] + 1 > st.ncap[j]:
                     continue
-                need_both += 1
+                both += 1
+        counts.append([i_only, j_only, both])
+    return counts
+
+
+def rescan_bound(st) -> int:
+    """The node bound from rescanned counts and budgets, with the gain of
+    every edge maximized over c, no closed form and no early exit. Edges the
+    search gave up count for nothing."""
+    inst = st.inst
+    q = inst.q
+    budgets = rescan_vertex_budgets(st)
+    total = 0
+    for e, ((i, j), (need_i_only, need_j_only, need_both)) in enumerate(
+        zip(st.edges, rescan_edge_counts(st))
+    ):
+        if st.given_up[e]:
+            continue
+        s = st.shared[e]
+        if s >= q:
+            total += 1
+            continue
         bi, bj = budgets[i], budgets[j]
         best = 0
         for c in range(min(need_both, bi, bj) + 1):

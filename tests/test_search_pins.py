@@ -1,12 +1,11 @@
 """Pinned search and heuristic results and the non-dyadic capacity regressions.
 
-The first search pins were recorded before the node bound and the objective
-were made incremental, the bench-budget pins before the bound cached its
-per-key caps and per-vertex budgets, and the greedy pins before the heuristic
-moved onto the search state's own can_hold / place / unplace. Those changes
-must leave both alone, so status, objective, bound, node count and the
-incumbent's bytes stay fixed under a node budget, and so do the bytes of every
-greedy restart.
+The search pins were recorded when the search began to branch on edges, and
+the greedy pins before the heuristic moved onto the search state's own
+can_hold / place / unplace. A change that claims to leave the search or the
+heuristic alone must leave them alone too: status, objective, bound, node
+count and the incumbent's bytes stay fixed under a node budget, and so do the
+bytes of every greedy restart.
 """
 
 import hashlib
@@ -21,21 +20,29 @@ from qkmp.solver import OPTIMAL, SolverConfig, brute_force, greedy_heuristic, so
 
 # (config, seed, node_limit, (status, lower_bound, upper_bound, nodes), incumbent digest)
 PINS = [
-    ("q1-4", 10400, 2000, ("FEASIBLE_TIMEOUT", 14, 16, 2000), "ef46cf3927589af8"),
-    ("q2-2", 20200, 2000, ("FEASIBLE_TIMEOUT", 12, 15, 2000), "bf2265ba039469b7"),
+    ("q1-4", 10400, 2000, ("OPTIMAL", 16, 16, 53), "b5370e00eba626b7"),
+    ("q2-2", 20200, 2000, ("FEASIBLE_TIMEOUT", 14, 15, 2000), "d119f4271bb3dd12"),
     ("q2-5", 20500, 300, ("FEASIBLE_TIMEOUT", 22, 27, 300), "94bfb12e32f37f39"),
     ("q1-5", 10500, 1200, ("FEASIBLE_TIMEOUT", 27, 30, 1200), "14005d0d1b866533"),
     ("q2-13", 21300, 40, ("FEASIBLE_TIMEOUT", 73, 91, 40), "3ef2bfe15e92e077"),
 ]
 
-# recorded before the node bound cached its per-key caps and per-vertex
-# budgets: the heaviest grind-large item at its node budget, and two
-# prove-small items at theirs
+# the heaviest grind-large item at its node budget, and prove-small items at
+# theirs, two of them proved only since the search branches on edges
 BENCH_PINS = [
     ("q1-13", 11300, 150, ("FEASIBLE_TIMEOUT", 230, 240, 150), "fb6b8a9639cf0f76"),
-    ("q1-3", 10300, 3000, ("FEASIBLE_TIMEOUT", 16, 17, 3000), "f69b86a9e3e17225"),
-    ("q2-1", 20100, 3000, ("FEASIBLE_TIMEOUT", 10, 12, 3000), "a9b75d1ffea65baf"),
+    ("q1-3", 10300, 3000, ("OPTIMAL", 17, 17, 110), "bd2645d5c3d753c2"),
+    ("q2-1", 20100, 3000, ("OPTIMAL", 12, 12, 335), "2898da2cee209808"),
+    ("q1-4", 10401, 3000, ("OPTIMAL", 26, 26, 946), "0cc5bb49dd97b2f1"),
+    ("q2-2", 20201, 3000, ("OPTIMAL", 18, 18, 1469), "41e4b2b5a964fb37"),
 ]
+SEARCH_PINS = PINS + BENCH_PINS
+# the config alone names the first pin of each config, config/seed the others
+SEARCH_PIN_IDS: list[str] = []
+for pin_config, pin_seed, *_ in SEARCH_PINS:
+    SEARCH_PIN_IDS.append(
+        f"{pin_config}/{pin_seed}" if pin_config in SEARCH_PIN_IDS else pin_config
+    )
 
 # incumbent digest of greedy_heuristic(inst, seed) for seeds 0..7, per PINS instance
 GREEDY_PINS = {
@@ -84,9 +91,7 @@ def digest(x) -> str:
 
 
 @pytest.mark.parametrize(
-    "config,seed,node_limit,expected,incumbent_digest",
-    PINS + BENCH_PINS,
-    ids=[p[0] for p in PINS + BENCH_PINS],
+    "config,seed,node_limit,expected,incumbent_digest", SEARCH_PINS, ids=SEARCH_PIN_IDS
 )
 def test_search_is_pinned(config, seed, node_limit, expected, incumbent_digest):
     inst = get_config(config).build_instance(seed)

@@ -117,6 +117,27 @@ class TestBruteForce:
             brute_force(inst)
 
 
+def random_run_instance(rng: random.Random) -> KmpInstance:
+    """n*K <= 16 with K up to 8 keys in runs of equal weight and limit."""
+    K = rng.randint(2, 8)
+    n = rng.randint(2, max(2, 16 // K))
+    mems, limits = [], []
+    while len(mems) < K:
+        run = rng.randint(1, 4)
+        mems += [rng.choice((0.1, 0.2, 0.5, 1.0))] * run
+        limits += [rng.randint(1, n)] * run
+    return KmpInstance(
+        graph=connected_random_graph(rng, n, 0.7),
+        key_count=K,
+        q=rng.choice([1, 1, 2, 3]),
+        p=rng.choice([0.3, 0.5, 1.0]),
+        alpha=rng.randint(1, 2),
+        mem_per_key=tuple(mems[:K]),
+        capacity=tuple(rng.choice((0.3, 0.6, 1.0, 2.0, 3.0)) for _ in range(n)),
+        usage_limit=tuple(limits[:K]),
+    )
+
+
 def oracle_view(r):
     return (r.status, r.lower_bound, r.upper_bound, r.gap, r.nodes, r.incumbent)
 
@@ -236,6 +257,76 @@ class TestSolveBb:
             assert fast.upper_bound == fast.lower_bound == slow.lower_bound, inst.to_json_dict()
             report = evaluate(inst, fast.incumbent)
             assert report.feasible and report.objective == fast.lower_bound
+
+    def test_matches_brute_force_with_interchangeable_keys(self):
+        """Runs of adjacent keys with equal weight and usage limit, up to
+        eight keys: the search tries one unused key per run."""
+        rng = random.Random(909)
+        for _ in range(120):
+            inst = random_run_instance(rng)
+            fast = solve_bb(inst, SolverConfig(time_limit=60))
+            slow = brute_force(inst)
+            assert fast.status == OPTIMAL, inst.to_json_dict()
+            assert fast.upper_bound == fast.lower_bound == slow.lower_bound, inst.to_json_dict()
+            report = evaluate(inst, fast.incumbent)
+            assert report.feasible and report.objective == fast.lower_bound
+
+    def test_equal_keys_apart_are_not_interchangeable(self):
+        """Keys 1 and 3 weigh 0.1 each, but the key-index order sums tell
+        them apart: a vertex with capacity 0.6 that holds keys 0 and 2 fits
+        key 3 (0.2 + 0.3 + 0.1 == 0.6) and not key 1 (0.2 + 0.1 + 0.3 ==
+        0.6000000000000001). Only the triangle's optimum uses key 3 there."""
+        inst = KmpInstance(
+            graph=TRIANGLE,
+            key_count=4,
+            q=2,
+            p=1.0,
+            alpha=1,
+            mem_per_key=(0.2, 0.1, 0.3, 0.1),
+            capacity=(0.6, 0.4, 1.0),
+            usage_limit=(3, 2, 3, 2),
+        )
+        r = solve_bb(inst)
+        assert r.status == OPTIMAL
+        assert r.lower_bound == r.upper_bound == brute_force(inst).lower_bound == 3
+        assert evaluate(inst, r.incumbent).objective == 3
+
+    def test_given_up_edges_stay_given_up(self):
+        """One key on a dense 13-vertex graph: the search proves the optimum
+        only because a given-up edge may not be secured later. Left to the
+        bound alone, it ran 265k nodes in 20 s without a proof."""
+        edges = [
+            (0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 8), (0, 9), (0, 10), (0, 11),
+            (0, 12), (1, 2), (1, 4), (1, 6), (1, 9), (1, 10), (1, 11), (1, 12), (2, 3),
+            (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (2, 10), (2, 11), (2, 12), (3, 4),
+            (3, 5), (3, 6), (3, 9), (3, 10), (3, 11), (3, 12), (4, 5), (4, 7), (4, 8),
+            (4, 9), (4, 11), (4, 12), (5, 7), (5, 8), (5, 9), (5, 10), (5, 11), (5, 12),
+            (6, 7), (6, 8), (6, 9), (6, 10), (6, 11), (6, 12), (7, 8), (7, 9), (7, 10),
+            (7, 11), (7, 12), (8, 9), (8, 11), (9, 11), (10, 12),
+        ]
+        inst = KmpInstance(
+            graph=make_graph(13, edges),
+            key_count=1,
+            q=1,
+            p=0.5,
+            alpha=1,
+            mem_per_key=(0.2,),
+            capacity=(3.0, 1.5, 1.0, 3.0, 0.3, 1.0, 0.3, 2.0, 2.0, 2.0, 2.0, 0.5, 3.0),
+            usage_limit=(9,),
+        )
+        r = solve_bb(inst, SolverConfig(node_limit=20000))
+        assert r.status == OPTIMAL
+        assert r.lower_bound == brute_force(inst).lower_bound == 22
+
+    @pytest.mark.parametrize("seed", [10500, 10501])
+    def test_timed_out_bound_stays_below_the_root_bound(self, seed):
+        """Every frame's bound is capped by its parent's, so a timed-out
+        solve never reports an upper bound above the root bound."""
+        inst = get_config("q1-5").build_instance(seed)
+        root_bound = solver._State(inst).bound()
+        r = solve_bb(inst, SolverConfig(node_limit=200))
+        assert r.status == FEASIBLE_TIMEOUT
+        assert r.lower_bound <= r.upper_bound <= root_bound
 
     def test_heterogeneous_key_classes(self):
         """Keys with equal weight but different usage limits must not be

@@ -3,10 +3,12 @@
 Random fix / mark / undo_to walks on small instances, with q = 1, 2 and 3
 and with dyadic as well as non-dyadic memory weights. After every step the
 co-holder counts, the secured-edge counter, the ring memory, the key pair
-caps, the vertex budgets and the node bound must equal what a full rescan
-of the fixed pattern gives. A conflicting fix must change no state, and
-undoing the whole trail must give back a fresh state. After every fix, no
-undecided cell may be left open that a usage or neighborhood row forbids.
+caps, the vertex budgets, the per-edge candidate key counts and the node
+bound must equal what a full rescan of the fixed pattern gives. A
+conflicting fix must change no state, and undoing the whole trail must give
+back a fresh state. After every fix, no undecided cell may be left open that
+a usage or neighborhood row forbids, and no edge the search gave up may be
+left one key short of q with a cell open that would secure it.
 """
 
 import copy
@@ -21,6 +23,7 @@ from helpers import (
     DYADIC_MEMS,
     connected_random_graph,
     rescan_bound,
+    rescan_edge_counts,
     rescan_key_pair_caps,
     rescan_nz,
     rescan_secured,
@@ -65,6 +68,7 @@ def assert_matches_rescan(st) -> None:
     assert sorted(st.trail) == decided
     assert st.key_pair_caps() == rescan_key_pair_caps(st)
     assert st.vertex_budgets() == rescan_vertex_budgets(st)
+    assert [c[1:] for c in st.edge_counts()] == rescan_edge_counts(st)
     assert st.bound() == rescan_bound(st)
 
 
@@ -129,6 +133,7 @@ def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
         # the cached bound parts after greedy's place / unplace churn
         assert st.key_pair_caps() == rescan_key_pair_caps(st)
         assert st.vertex_budgets() == rescan_vertex_budgets(st)
+        assert [c[1:] for c in st.edge_counts()] == rescan_edge_counts(st)
         assert st.bound() == rescan_bound(st)
 
 
@@ -163,3 +168,52 @@ def test_fix_closes_every_cell_a_row_forbids(q, mems):
             v, k = rng.choice(open_cells)
             st.fix(v, k, 1 if rng.random() < 0.7 else 0)
             assert_propagated(st)
+
+
+def assert_sealed(st) -> None:
+    """A given-up edge stays below q shared keys, and once it is one short
+    no undecided cell is left that would add a shared key to it."""
+    q = st.inst.q
+    for e, (i, j) in enumerate(st.edges):
+        if not st.given_up[e]:
+            continue
+        assert st.shared[e] < q
+        if st.shared[e] == q - 1:
+            for k in range(st.K):
+                assert {st.val[i][k], st.val[j][k]} != {-1, 1}
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_given_up_edges_stay_unsecured(q, mems):
+    rng = random.Random(700 + 10 * q + (mems is DYADIC_MEMS))
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        marks = []  # (trail mark, edge given up at that mark or None)
+        for _ in range(40):
+            open_cells = [
+                (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+            ]
+            open_edges = [
+                e for e in range(len(st.edges)) if st.shared[e] < q and not st.given_up[e]
+            ]
+            roll = rng.random()
+            if open_edges and roll < 0.25:
+                e = rng.choice(open_edges)
+                marks.append((st.mark(), e))
+                st.give_up(e)
+            elif open_cells and (not marks or roll < 0.7):
+                marks.append((st.mark(), None))
+                v, k = rng.choice(open_cells)
+                if not st.fix(v, k, 1 if rng.random() < 0.7 else 0):
+                    st.undo_to(marks.pop()[0])
+            elif marks:
+                # back out past the cut, as the search pops its frames
+                cut = rng.randrange(len(marks))
+                st.undo_to(marks[cut][0])
+                for _, e in marks[cut:]:
+                    if e is not None:
+                        st.given_up[e] = False
+                del marks[cut:]
+            assert_sealed(st)
+            assert_matches_rescan(st)
