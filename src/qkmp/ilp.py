@@ -7,9 +7,11 @@ presolve or reduction, so exported files can be audited row by row against
 the mathematical model.
 
 Every row and the objective keep their (position, coefficient) pairs in
-stable position order, without zeros. ``build_ilp`` emits them in that order
-already, so normalizing a row costs one pass, and a model's range check reads
-only the first and last position of each row.
+stable position order, without zeros, so a model's range check reads only the
+first and last position of each row. The public ``LinearRow`` constructor and
+both readers normalize every row they make. ``build_ilp`` does so only for
+its capacity and usage rows, which carry user weights and limits; for the
+other row families it checks the invariant once per family, not per row.
 
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers are only promised to round-trip files
@@ -40,23 +42,20 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def _memoized(fmt: Callable[[float], str]) -> Callable[[float], str]:
-    """``fmt`` computed once per distinct value, for one write.
+class _Table(dict):
+    """``fn`` of each distinct key, computed on first lookup, for one write or
+    read. Keep zeros out of a float-keyed table of texts: -0.0 == 0.0, so
+    both would get the text of whichever came first."""
 
-    Zeros bypass the memo: -0.0 == 0.0 and both hash alike, so a float-keyed
-    memo would write whichever of them came first for both.
-    """
-    memo: dict[float, str] = {}
+    __slots__ = ("fn",)
 
-    def cached(v: float) -> str:
-        s = memo.get(v)
-        if s is None:
-            s = fmt(v)
-            if v:
-                memo[v] = s
-        return s
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
 
-    return cached
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _normalized(coeffs: Iterable[tuple[int, float]]) -> tuple[tuple[int, float], ...]:
@@ -101,6 +100,21 @@ class LinearRow:
         object.__setattr__(self, "coeffs", _normalized(coeffs))
         object.__setattr__(self, "sense", sense)
         object.__setattr__(self, "rhs", float(rhs))
+
+
+_SET_ROW_FIELDS = tuple(LinearRow.__dict__[f].__set__ for f in ("name", "coeffs", "sense", "rhs"))
+
+
+def _checked_row(name: str, coeffs: tuple, sense: str, rhs: float) -> LinearRow:
+    """A LinearRow whose fields the caller has checked: coeffs normalized,
+    sense valid, rhs a float."""
+    row = object.__new__(LinearRow)
+    set_name, set_coeffs, set_sense, set_rhs = _SET_ROW_FIELDS
+    set_name(row, name)
+    set_coeffs(row, coeffs)
+    set_sense(row, sense)
+    set_rhs(row, rhs)
+    return row
 
 
 @dataclass(frozen=True)
@@ -193,11 +207,19 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
 
     names = [x_name(i, k) for i in range(n) for k in range(K)]
     names += [z_name(i, j) for i, j in edges]
-    names += [y_name(i, j, k) for i, j in edges for k in range(K)]
+    # "i_j_k" per y, in y order; it names the y and its envelope rows
+    tags = [f"{i}_{j}_{k}" for i, j in edges for k in range(K)]
+    names += ["y_" + tag for tag in tags]
 
     # the pairs that recur across rows, built once and shared by them
     x_minus = [(x, -1.0) for x in range(zbase)]
     y_plus = [(y, 1.0) for y in range(ybase, ybase + len(edges) * K)]
+    link_z = -float(inst.q)
+    # The link, nbr and envelope rows below hold ascending int positions and
+    # nonzero floats if these hold: i < j puts x_ik < x_jk < any z or y, and
+    # sorted edges give each vertex ascending neighbor edges. Checked once.
+    checked = type(zbase) is int and link_z != 0.0 and edges == tuple(sorted(edges))
+    row = _checked_row if checked and all(i < j for i, j in edges) else LinearRow
 
     rows: list[LinearRow] = []
     for i in range(n):
@@ -209,26 +231,24 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
                 inst.capacity[i],
             )
         )
-    link_z = -float(inst.q)
     for e, (i, j) in enumerate(edges):
         coeffs = ((zbase + e, link_z), *y_plus[e * K : e * K + K])
-        rows.append(LinearRow(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
-    # the y block of each neighbor's edge; edges are sorted, so ascending j
-    # gives ascending positions
+        rows.append(row(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
+    # the y block of each neighbor's edge, in ascending neighbor order
     edge_id = {edge: e for e, edge in enumerate(edges)}
     for i in range(n):
-        rhs = inst.neighborhood_cap(i)
+        rhs = float(inst.neighborhood_cap(i))
         blocks = [edge_id[(i, j) if i < j else (j, i)] * K for j in sorted(g.adjacency[i])]
         for k in range(K):
             coeffs = tuple([y_plus[b + k] for b in blocks])
-            rows.append(LinearRow(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
+            rows.append(row(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
     for e, (i, j) in enumerate(edges):
         for k in range(K):
             xi, xj, y = x_minus[i * K + k], x_minus[j * K + k], y_plus[e * K + k]
-            tag = f"{i}_{j}_{k}"
-            rows.append(LinearRow("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
-            rows.append(LinearRow("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
-            rows.append(LinearRow("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
+            tag = tags[e * K + k]
+            rows.append(row("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
+            rows.append(row("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
+            rows.append(row("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
     for k in range(K):
         rows.append(
             LinearRow(
@@ -253,15 +273,15 @@ _MPS_TO_SENSE = {"L": SENSE_LE, "G": SENSE_GE}
 
 def write_mps(m: IlpModel) -> str:
     """Free-layout MPS text for the model; names are not length-limited."""
-    fmt = _memoized(_fmt)
+    coef = _Table(lambda c: " " + _fmt(c))  # rows and objective hold no zeros
     # per-variable "row coef" entries, objective entry first
     cols: list[list[str]] = [[] for _ in m.variables]
     for pos, c in m.objective:
-        cols[pos].append(f"{OBJ_ROW_NAME} {fmt(c)}")
+        cols[pos].append(OBJ_ROW_NAME + coef[c])
     for row in m.rows:
         name = row.name
         for pos, c in row.coeffs:
-            cols[pos].append(f"{name} {fmt(c)}")
+            cols[pos].append(name + coef[c])
     lines = [f"NAME {m.name}".rstrip(), "OBJSENSE", " MAX", "ROWS", f" N {OBJ_ROW_NAME}"]
     lines += [f" {_SENSE_TO_MPS[row.sense]} {row.name}" for row in m.rows]
     lines.append("COLUMNS")
@@ -272,7 +292,8 @@ def write_mps(m: IlpModel) -> str:
         if entries
     ]
     lines.append("RHS")
-    lines += [f" RHS {row.name} {fmt(row.rhs)}" for row in m.rows]
+    rhs = _Table(_fmt)  # a zero rhs is a float already, so repr is _fmt
+    lines += [f" RHS {row.name} {rhs[r] if (r := row.rhs) else repr(r)}" for row in m.rows]
     lines.append("BOUNDS")
     lines += [f" BV BND {name}" for name in m.variables]
     lines.append("ENDATA")
@@ -287,53 +308,61 @@ def read_mps(text: str) -> IlpModel:
     objsense = "MIN"
     row_order: list[tuple[str, str]] = []  # (name, sense) excluding obj
     obj_seen = False
-    col_entries: dict[str, list[tuple[str, float]]] = {}
+    objective: list[tuple[int, float]] = []
+    # (column id, value) entries per row name; column ids are provisional,
+    # in first-seen order, until BOUNDS gives each column its position
+    row_coeffs: dict[str, list[tuple[int, float]]] = {OBJ_ROW_NAME: objective}
+    col_id: dict[str, int] = {}
+    value = _Table(float)  # each distinct value token parsed once
     rhs_map: dict[str, float] = {}
     binaries: list[str] = []
 
     for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "*":
             continue
         if raw[0] not in (" ", "\t"):
-            parts = raw.split()
-            section = parts[0].upper()
+            section = tokens[0].upper()
             if section == "NAME":
-                name = parts[1] if len(parts) > 1 else ""
+                name = tokens[1] if len(tokens) > 1 else ""
             if section == "ENDATA":
                 break
-            if section == "OBJSENSE" and len(parts) > 1:
-                objsense = parts[1].upper()
+            if section == "OBJSENSE" and len(tokens) > 1:
+                objsense = tokens[1].upper()
             continue
-        tokens = raw.split()
-        if section == "OBJSENSE":
-            objsense = tokens[0].upper()
+        if section == "COLUMNS":
+            if "MARKER" in raw:
+                continue
+            if not len(tokens) % 2:
+                raise IlpFormatError(f"odd COLUMNS entry: {raw!r}")
+            cid = col_id.setdefault(tokens[0], len(col_id))
+            for at in range(1, len(tokens), 2):
+                entries = row_coeffs.get(tokens[at])
+                if entries is None:
+                    raise IlpFormatError(f"entry for undeclared row {tokens[at]!r}")
+                entries.append((cid, value[tokens[at + 1]]))
         elif section == "ROWS":
             kind, row_name = tokens[0].upper(), tokens[1]
             if kind == "N":
                 obj_seen = True
             elif kind in _MPS_TO_SENSE:
                 row_order.append((row_name, _MPS_TO_SENSE[kind]))
+                row_coeffs[row_name] = []
             else:
                 raise IlpFormatError(f"unsupported row type {kind!r}")
-        elif section == "COLUMNS":
-            if "MARKER" in raw:
-                continue
-            col = tokens[0]
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                raise IlpFormatError(f"odd COLUMNS entry: {raw!r}")
-            for rn, val in zip(pairs[::2], pairs[1::2]):
-                col_entries.setdefault(col, []).append((rn, float(val)))
         elif section == "RHS":
-            pairs = tokens[1:]
-            if len(pairs) % 2:
+            if not len(tokens) % 2:
                 raise IlpFormatError(f"odd RHS entry: {raw!r}")
-            for rn, val in zip(pairs[::2], pairs[1::2]):
-                rhs_map[rn] = float(val)
+            for at in range(1, len(tokens), 2):
+                if tokens[at] not in row_coeffs:
+                    raise IlpFormatError(f"RHS entry for undeclared row {tokens[at]!r}")
+                rhs_map[tokens[at]] = value[tokens[at + 1]]
         elif section == "BOUNDS":
             if tokens[0].upper() != "BV":
                 raise IlpFormatError(f"only BV bounds are supported: {raw!r}")
             binaries.append(tokens[2])
+        elif section == "OBJSENSE":
+            objsense = tokens[0].upper()
         else:
             raise IlpFormatError(f"data line outside a known section: {raw!r}")
 
@@ -345,18 +374,13 @@ def read_mps(text: str) -> IlpModel:
     var_pos = {v: i for i, v in enumerate(binaries)}
     if len(var_pos) != len(binaries):
         raise IlpFormatError("duplicate variable in BOUNDS")
-    row_coeffs: dict[str, list[tuple[int, float]]] = {rn: [] for rn, _ in row_order}
-    objective: list[tuple[int, float]] = []
-    for col, entries in col_entries.items():
+    for col in col_id:
         if col not in var_pos:
             raise IlpFormatError(f"column {col!r} has no BV bound")
-        for rn, val in entries:
-            if rn == OBJ_ROW_NAME:
-                objective.append((var_pos[col], val))
-            elif rn in row_coeffs:
-                row_coeffs[rn].append((var_pos[col], val))
-            else:
-                raise IlpFormatError(f"entry for undeclared row {rn!r}")
+    pos_of = [var_pos[col] for col in col_id]
+    if pos_of != list(range(len(pos_of))):
+        for entries in row_coeffs.values():
+            entries[:] = [(pos_of[cid], v) for cid, v in entries]
     rows = tuple(
         LinearRow(rn, tuple(row_coeffs[rn]), sense, rhs_map.get(rn, 0.0))
         for rn, sense in row_order
@@ -367,43 +391,41 @@ def read_mps(text: str) -> IlpModel:
 # --- CPLEX-style LP ---
 
 
-def _signed(c: float) -> str:
-    # a term's sign and magnitude as LP writes them: "+ 2.0", "- 0.5"
-    return f"{'-' if c < 0 else '+'} {_fmt(abs(c))}"
+def _lp_spellings(c: float) -> tuple[str, str]:
+    # a coefficient as LP writes it first ("2.0", "-0.5") and later (" + 2.0", " - 0.5")
+    magnitude = _fmt(abs(c))
+    return ("-" + magnitude, " - " + magnitude) if c < 0 else (magnitude, " + " + magnitude)
 
 
-def _lp_terms(
-    names: Sequence[str], coeffs: Iterable[tuple[int, float]], signed: Callable[[float], str]
-) -> str:
+def _lp_terms(names: Sequence[str], coeffs: Iterable[tuple[int, float]], term: _Table) -> str:
     # names holds " name" per variable, so that each term is one concatenation
-    parts = []
+    text = ""
     for pos, c in coeffs:
-        parts.append(signed(c) + names[pos])
-    if parts:
-        # the leading term carries a minus without a space, and no plus
-        lead = parts[0]
-        parts[0] = lead[2:] if lead[0] == "+" else "-" + lead[2:]
-    return " ".join(parts)
+        if text:
+            text += term[c][1] + names[pos]
+        else:
+            text = term[c][0] + names[pos]
+    return text
 
 
 def write_lp(m: IlpModel) -> str:
     """CPLEX-LP text: Maximize / Subject To / Binary / End, deterministic."""
-    fmt, signed = _memoized(_fmt), _memoized(_signed)
+    term, rhs = _Table(_lp_spellings), _Table(_fmt)
     names = [" " + v for v in m.variables]
     lines: list[str] = []
     if m.name:
         lines.append(f"\\ name={m.name}")
     lines.append("Maximize")
-    obj_terms = _lp_terms(names, m.objective, signed)
+    obj_terms = _lp_terms(names, m.objective, term)
     lines.append(f"{OBJ_ROW_NAME}:" + (f" {obj_terms}" if obj_terms else ""))
     lines.append("Subject To")
     for row in m.rows:
-        terms = _lp_terms(names, row.coeffs, signed)
+        terms = _lp_terms(names, row.coeffs, term)
         if not terms:
             # LP syntax has no empty sum; a zero times any variable stands in
             # for it and is dropped again on read
             terms = f"0.0 {m.variables[0]}" if m.variables else "0.0 none"
-        lines.append(f"{row.name}: {terms} {row.sense} {fmt(row.rhs)}")
+        lines.append(f"{row.name}: {terms} {row.sense} {rhs[r] if (r := row.rhs) else repr(r)}")
     if m.variables:
         lines.append("Binary")
         for v in m.variables:

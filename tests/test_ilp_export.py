@@ -2,24 +2,29 @@
 rely on.
 
 The digests were recorded before build_ilp moved to arithmetic positions and
-the writers to per-write format memos. Those changes must leave every byte
-of the MPS and LP text alone.
+checked row families, and the writers to per-write text tables. Those
+changes must leave every byte of the MPS and LP text alone.
 """
 
 import hashlib
 
 import pytest
 
+from qkmp.graph import make_graph
 from qkmp.harness import get_config
 from qkmp.ilp import (
     SENSE_GE,
     SENSE_LE,
+    IlpFormatError,
     IlpModel,
     LinearRow,
     build_ilp,
+    read_lp,
+    read_mps,
     write_lp,
     write_mps,
 )
+from qkmp.instance import KmpInstance
 
 # (config, seed, sha256 of write_mps, sha256 of write_lp)
 EXPORT_PINS = [
@@ -89,6 +94,147 @@ def test_signed_zero_rhs_keeps_its_sign_in_either_order():
     assert write_lp(signed_zero_model(-0.0, 0.0)) == (
         LP_HEAD + "r1: 1.0 a <= -0.0\nr2: 1.0 b <= 0.0\n" + LP_TAIL
     )
+
+
+def unsorted_edges_instance() -> KmpInstance:
+    # Graph sorts its edges; reordered afterwards, they give unsorted
+    # neighborhood rows, which build_ilp must notice and normalize
+    inst = KmpInstance.uniform(
+        make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 2, 1, 0.5, 3.0, 2
+    )
+    object.__setattr__(inst.graph, "edges", ((2, 3), (0, 1), (0, 3), (1, 2)))
+    return inst
+
+
+HAND_BUILT = {
+    # p and alpha ints: an int neighborhood cap, which the row must hold as float
+    "int-p-alpha": lambda: KmpInstance.uniform(
+        make_graph(3, [(0, 1), (0, 2), (1, 2)]), 2, 1, 1, 3.0, 2, alpha=2
+    ),
+    # no edges: empty neighborhood rows (a disconnected graph is refused)
+    "one-vertex": lambda: KmpInstance.uniform(make_graph(1, []), 2, 1, 0.5, 2.0, 1),
+    "q3": lambda: KmpInstance.uniform(
+        make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, 3, 0.5, 3.0, 2
+    ),
+    "unsorted-edges": unsorted_edges_instance,
+}
+ROW_CASES = [lambda c=c, s=s: get_config(c).build_instance(s) for c, s, _, _ in EXPORT_PINS]
+ROW_CASES += HAND_BUILT.values()
+
+
+@pytest.mark.parametrize(
+    "make", ROW_CASES, ids=[p[0] for p in EXPORT_PINS] + list(HAND_BUILT)
+)
+def test_every_built_row_is_already_normalized(make):
+    """build_ilp makes most rows without the public constructor's per-row
+    pass; each must equal the row that pass makes from a list of its pairs."""
+    model = build_ilp(make())
+    for row in model.rows:
+        assert row == LinearRow(row.name, list(row.coeffs), row.sense, row.rhs), row.name
+        assert all(type(p) is int and type(c) is float for p, c in row.coeffs), row.name
+        assert type(row.rhs) is float, row.name
+
+
+# one coefficient leads one row and follows in another, one leads and follows
+# in the objective, a negative one leads, 0.25 repeats, a rhs is fractional,
+# and variable c has no column
+TABLES_MODEL = IlpModel(
+    "w",
+    ("a", "b", "c", "d"),
+    ((0, 2.0), (1, 2.0)),
+    (
+        LinearRow("r1", ((0, -0.5), (3, 0.25)), SENSE_LE, 1.75),
+        LinearRow("r2", ((1, 0.25), (3, -0.5)), SENSE_GE, -0.5),
+    ),
+)
+TABLES_MPS = """NAME w
+OBJSENSE
+ MAX
+ROWS
+ N obj
+ L r1
+ G r2
+COLUMNS
+ a obj 2.0
+ a r1 -0.5
+ b obj 2.0
+ b r2 0.25
+ d r1 0.25
+ d r2 -0.5
+RHS
+ RHS r1 1.75
+ RHS r2 -0.5
+BOUNDS
+ BV BND a
+ BV BND b
+ BV BND c
+ BV BND d
+ENDATA
+"""
+TABLES_LP = """\\ name=w
+Maximize
+obj: 2.0 a + 2.0 b
+Subject To
+r1: -0.5 a + 0.25 d <= 1.75
+r2: 0.25 b - 0.5 d >= -0.5
+Binary
+ a
+ b
+ c
+ d
+End
+"""
+
+
+def test_writer_tables_spell_every_term_and_rhs():
+    assert write_mps(TABLES_MODEL) == TABLES_MPS
+    assert write_lp(TABLES_MODEL) == TABLES_LP
+    assert read_mps(TABLES_MPS) == TABLES_MODEL
+    assert read_lp(TABLES_LP) == TABLES_MODEL
+
+
+def test_read_mps_places_columns_in_bounds_order():
+    text = TABLES_MPS.replace(" BV BND a\n", "").replace(" BV BND d\n", " BV BND d\n BV BND a\n")
+    back = read_mps(text)
+    assert back.variables == ("b", "c", "d", "a")
+    assert back.objective == ((0, 2.0), (3, 2.0))
+    assert back.rows == (
+        LinearRow("r1", ((2, 0.25), (3, -0.5)), SENSE_LE, 1.75),
+        LinearRow("r2", ((0, 0.25), (2, -0.5)), SENSE_GE, -0.5),
+    )
+
+
+@pytest.mark.parametrize(
+    "line,edit,error",
+    [
+        (" a r1 -0.5", " a r1 -0.5 r2", "odd COLUMNS entry"),
+        (" RHS r1 1.75", " RHS r1 1.75 r2", "odd RHS entry"),
+        (" BV BND a", " UP BND a 1", "only BV bounds"),
+        (" BV BND d", None, "column 'd' has no BV bound"),
+        (" d r2 -0.5", " d r3 -0.5", "entry for undeclared row 'r3'"),
+        (" RHS r2 -0.5", " RHS r3 -0.5", "RHS entry for undeclared row 'r3'"),
+        (" BV BND c", " BV BND b", "duplicate variable"),
+        (" G r2", " E r2", "unsupported row type"),
+        (" N obj", None, "no objective row"),
+    ],
+    ids=[
+        "odd-columns",
+        "odd-rhs",
+        "non-bv-bound",
+        "column-without-bv",
+        "columns-undeclared-row",
+        "rhs-undeclared-row",
+        "duplicate-bv",
+        "row-type",
+        "no-n-row",
+    ],
+)
+def test_read_mps_refuses_each_one_line_edit(line, edit, error):
+    lines = TABLES_MPS.splitlines()
+    at = lines.index(line)
+    lines[at : at + 1] = [edit] if edit else []
+    with pytest.raises(IlpFormatError, match=error):
+        read_mps("\n".join(lines) + "\n")
 
 
 class TestRowNormalization:
