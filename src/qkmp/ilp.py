@@ -10,8 +10,9 @@ Every row and the objective keep their (position, coefficient) pairs in
 stable position order, without zeros, so a model's range check reads only the
 first and last position of each row. The public ``LinearRow`` constructor and
 both readers normalize every row they make. ``build_ilp`` does so only for
-its capacity and usage rows, which carry user weights and limits; for the
-other row families it checks the invariant once per family, not per row.
+its capacity and usage rows, which carry user weights and limits; its other
+rows get the invariant from ``Graph``, which keeps its edges sorted with
+i < j, and from ``KmpInstance``, which refuses q < 1.
 
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers are only promised to round-trip files
@@ -214,13 +215,11 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
     # the pairs that recur across rows, built once and shared by them
     x_minus = [(x, -1.0) for x in range(zbase)]
     y_plus = [(y, 1.0) for y in range(ybase, ybase + len(edges) * K)]
-    link_z = -float(inst.q)
-    # The link, nbr and envelope rows below hold ascending int positions and
-    # nonzero floats if these hold: i < j puts x_ik < x_jk < any z or y, and
-    # sorted edges give each vertex ascending neighbor edges. Checked once.
-    checked = type(zbase) is int and link_z != 0.0 and edges == tuple(sorted(edges))
-    row = _checked_row if checked and all(i < j for i, j in edges) else LinearRow
+    link_z = -float(inst.q)  # nonzero: KmpInstance refuses q < 1
 
+    # The link, nbr and envelope rows are made without normalizing. They rely
+    # on Graph's invariant (edges sorted int pairs with i < j), which puts
+    # x_ik < x_jk < any z or y and gives each vertex ascending neighbor edges.
     rows: list[LinearRow] = []
     for i in range(n):
         rows.append(
@@ -233,7 +232,7 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
         )
     for e, (i, j) in enumerate(edges):
         coeffs = ((zbase + e, link_z), *y_plus[e * K : e * K + K])
-        rows.append(row(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
+        rows.append(_checked_row(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
     # the y block of each neighbor's edge, in ascending neighbor order
     edge_id = {edge: e for e, edge in enumerate(edges)}
     for i in range(n):
@@ -241,14 +240,14 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
         blocks = [edge_id[(i, j) if i < j else (j, i)] * K for j in sorted(g.adjacency[i])]
         for k in range(K):
             coeffs = tuple([y_plus[b + k] for b in blocks])
-            rows.append(row(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
+            rows.append(_checked_row(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
     for e, (i, j) in enumerate(edges):
         for k in range(K):
             xi, xj, y = x_minus[i * K + k], x_minus[j * K + k], y_plus[e * K + k]
             tag = tags[e * K + k]
-            rows.append(row("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
-            rows.append(row("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
-            rows.append(row("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
+            rows.append(_checked_row("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
+            rows.append(_checked_row("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
+            rows.append(_checked_row("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
     for k in range(K):
         rows.append(
             LinearRow(

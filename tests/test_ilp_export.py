@@ -96,16 +96,6 @@ def test_signed_zero_rhs_keeps_its_sign_in_either_order():
     )
 
 
-def unsorted_edges_instance() -> KmpInstance:
-    # Graph sorts its edges; reordered afterwards, they give unsorted
-    # neighborhood rows, which build_ilp must notice and normalize
-    inst = KmpInstance.uniform(
-        make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 2, 1, 0.5, 3.0, 2
-    )
-    object.__setattr__(inst.graph, "edges", ((2, 3), (0, 1), (0, 3), (1, 2)))
-    return inst
-
-
 HAND_BUILT = {
     # p and alpha ints: an int neighborhood cap, which the row must hold as float
     "int-p-alpha": lambda: KmpInstance.uniform(
@@ -116,7 +106,6 @@ HAND_BUILT = {
     "q3": lambda: KmpInstance.uniform(
         make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 4, 3, 0.5, 3.0, 2
     ),
-    "unsorted-edges": unsorted_edges_instance,
 }
 ROW_CASES = [lambda c=c, s=s: get_config(c).build_instance(s) for c, s, _, _ in EXPORT_PINS]
 ROW_CASES += HAND_BUILT.values()
