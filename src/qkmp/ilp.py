@@ -15,8 +15,23 @@ rows get the invariant from ``Graph``, which keeps its edges sorted with
 i < j, and from ``KmpInstance``, which refuses q < 1.
 
 Serialization targets two standard text formats: free-layout MPS and
-CPLEX-style LP. The matching readers are only promised to round-trip files
-produced by these writers.
+CPLEX-style LP. The matching readers accept the layout these writers produce,
+for any whitespace-free names, and raise ``IlpFormatError`` on anything else:
+
+- In both formats a section header is an unindented line that is exactly a
+  section keyword: OBJSENSE, ROWS, COLUMNS, RHS, BOUNDS and ENDATA in MPS;
+  Maximize, Subject To, Binary and End in LP. MPS also takes a ``NAME`` line,
+  whose whole remainder after ``NAME `` is the model name. The text ends with
+  the ENDATA or End header.
+- An MPS data line is indented by one space and has a fixed number of
+  fields: `` MAX``, `` L|G|N row``, one `` column row value`` per COLUMNS
+  line, `` RHS row value`` and `` BV BND column``.
+- LP takes one optional ``\\ name=...`` line before Maximize, one objective
+  line ``obj: terms``, then one line ``row: terms sense rhs`` per constraint.
+  The label ends at its first ``": "``. Terms are ``c x`` joined by `` + `` or
+  `` - ``. A zero term is the filler that stands for an empty row and is
+  dropped without looking up its variable. Binary entries are indented by one
+  space, one per line.
 """
 
 from __future__ import annotations
@@ -264,10 +279,54 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
     )
 
 
+# --- reading back ---
+
+
+def _number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise IlpFormatError(f"bad number {token!r}") from None
+
+
+def _assemble(name: str, declared: list, columns: dict, objective: list, rows: list) -> IlpModel:
+    """The model a reader parsed, checked the same way for both formats.
+
+    ``declared`` lists the binary variables in file order, which is the
+    model's variable order. ``columns`` gives each variable that the
+    objective or a row uses a provisional id, in first-seen order. The
+    objective and the entries of each (name, sense, rhs, entries) in ``rows``
+    are (id, value) pairs.
+    """
+    position = {v: pos for pos, v in enumerate(declared)}
+    if len(position) != len(declared):
+        twice = next(v for pos, v in enumerate(declared) if position[v] != pos)
+        raise IlpFormatError(f"duplicate variable {twice!r}")
+    pos_of = []
+    for col in columns:
+        if col not in position:
+            raise IlpFormatError(f"column {col!r} has no BV bound or Binary entry")
+        pos_of.append(position[col])
+    if pos_of != list(range(len(pos_of))):
+        for entries in [objective] + [row[3] for row in rows]:
+            entries[:] = [(pos_of[i], v) for i, v in entries]
+    try:
+        return IlpModel(
+            name,
+            tuple(declared),
+            tuple(objective),
+            tuple([LinearRow(n, tuple(e), sense, rhs) for n, sense, rhs, e in rows]),
+        )
+    except ValueError as exc:  # such as a duplicate row name
+        raise IlpFormatError(str(exc)) from exc
+
+
 # --- MPS ---
 
 _SENSE_TO_MPS = {SENSE_LE: "L", SENSE_GE: "G"}
 _MPS_TO_SENSE = {"L": SENSE_LE, "G": SENSE_GE}
+# data fields per line in each section; ENDATA takes none
+_MPS_FIELDS = {"OBJSENSE": 1, "ROWS": 2, "COLUMNS": 3, "RHS": 3, "BOUNDS": 3, "ENDATA": 0}
 
 
 def write_mps(m: IlpModel) -> str:
@@ -301,90 +360,64 @@ def write_mps(m: IlpModel) -> str:
 
 
 def read_mps(text: str) -> IlpModel:
-    """Parse MPS text produced by write_mps back into an equal model."""
-    name = ""
-    section = ""
-    objsense = "MIN"
-    row_order: list[tuple[str, str]] = []  # (name, sense) excluding obj
-    obj_seen = False
+    """Parse MPS text in the layout of write_mps back into an equal model."""
+    name = section = ""
+    fields = 0
+    maximize = has_objective = False
+    columns: dict[str, int] = {}
     objective: list[tuple[int, float]] = []
-    # (column id, value) entries per row name; column ids are provisional,
-    # in first-seen order, until BOUNDS gives each column its position
-    row_coeffs: dict[str, list[tuple[int, float]]] = {OBJ_ROW_NAME: objective}
-    col_id: dict[str, int] = {}
-    value = _Table(float)  # each distinct value token parsed once
-    rhs_map: dict[str, float] = {}
-    binaries: list[str] = []
-
+    rows: list[list] = []  # [name, sense, rhs, entries] per constraint
+    row_of = {OBJ_ROW_NAME: [OBJ_ROW_NAME, None, 0.0, objective]}
+    declared: list[str] = []
+    value = _Table(_number)  # each distinct value token parsed once
     for raw in text.splitlines():
+        if raw[:1] != " ":
+            if raw in _MPS_FIELDS:
+                section, fields = raw, _MPS_FIELDS[raw]
+            elif raw[:5] in ("NAME", "NAME "):
+                name = raw[5:]
+            else:
+                raise IlpFormatError(f"not a section header: {raw!r}")
+            continue
+        if not fields:
+            raise IlpFormatError(f"data line outside a known section: {raw!r}")
         tokens = raw.split()
-        if not tokens or tokens[0][0] == "*":
-            continue
-        if raw[0] not in (" ", "\t"):
-            section = tokens[0].upper()
-            if section == "NAME":
-                name = tokens[1] if len(tokens) > 1 else ""
-            if section == "ENDATA":
-                break
-            if section == "OBJSENSE" and len(tokens) > 1:
-                objsense = tokens[1].upper()
-            continue
-        if section == "COLUMNS":
-            if "MARKER" in raw:
-                continue
-            if not len(tokens) % 2:
-                raise IlpFormatError(f"odd COLUMNS entry: {raw!r}")
-            cid = col_id.setdefault(tokens[0], len(col_id))
-            for at in range(1, len(tokens), 2):
-                entries = row_coeffs.get(tokens[at])
-                if entries is None:
-                    raise IlpFormatError(f"entry for undeclared row {tokens[at]!r}")
-                entries.append((cid, value[tokens[at + 1]]))
+        if section == "BOUNDS" and tokens[:1] != ["BV"]:
+            raise IlpFormatError(f"only BV bounds are supported: {raw!r}")
+        if len(tokens) != fields:
+            raise IlpFormatError(f"odd {section} entry: {raw!r}")
+        if section == "COLUMNS" or section == "RHS":
+            record = row_of.get(tokens[1])
+            if record is None:
+                raise IlpFormatError(f"{section} entry for undeclared row {tokens[1]!r}")
+            if section == "COLUMNS":
+                record[3].append((columns.setdefault(tokens[0], len(columns)), value[tokens[2]]))
+            elif record[3] is objective:  # a model holds no objective constant
+                raise IlpFormatError(f"RHS entry for the objective row: {raw!r}")
+            else:
+                record[2] = value[tokens[2]]
         elif section == "ROWS":
-            kind, row_name = tokens[0].upper(), tokens[1]
+            kind, row = tokens
             if kind == "N":
-                obj_seen = True
+                has_objective = True
             elif kind in _MPS_TO_SENSE:
-                row_order.append((row_name, _MPS_TO_SENSE[kind]))
-                row_coeffs[row_name] = []
+                record = row_of[row] = [row, _MPS_TO_SENSE[kind], 0.0, []]
+                rows.append(record)
             else:
                 raise IlpFormatError(f"unsupported row type {kind!r}")
-        elif section == "RHS":
-            if not len(tokens) % 2:
-                raise IlpFormatError(f"odd RHS entry: {raw!r}")
-            for at in range(1, len(tokens), 2):
-                if tokens[at] not in row_coeffs:
-                    raise IlpFormatError(f"RHS entry for undeclared row {tokens[at]!r}")
-                rhs_map[tokens[at]] = value[tokens[at + 1]]
         elif section == "BOUNDS":
-            if tokens[0].upper() != "BV":
-                raise IlpFormatError(f"only BV bounds are supported: {raw!r}")
-            binaries.append(tokens[2])
-        elif section == "OBJSENSE":
-            objsense = tokens[0].upper()
+            declared.append(tokens[2])
+        elif tokens == ["MAX"]:
+            maximize = True
         else:
-            raise IlpFormatError(f"data line outside a known section: {raw!r}")
-
-    if not obj_seen:
+            raise IlpFormatError("only maximization models are supported")
+    if section != "ENDATA":
+        raise IlpFormatError("text does not end with ENDATA")
+    if not has_objective:
         raise IlpFormatError("no objective row declared")
-    if objsense != "MAX":
+    if not maximize:
         raise IlpFormatError("only maximization models are supported")
-
-    var_pos = {v: i for i, v in enumerate(binaries)}
-    if len(var_pos) != len(binaries):
-        raise IlpFormatError("duplicate variable in BOUNDS")
-    for col in col_id:
-        if col not in var_pos:
-            raise IlpFormatError(f"column {col!r} has no BV bound")
-    pos_of = [var_pos[col] for col in col_id]
-    if pos_of != list(range(len(pos_of))):
-        for entries in row_coeffs.values():
-            entries[:] = [(pos_of[cid], v) for cid, v in entries]
-    rows = tuple(
-        LinearRow(rn, tuple(row_coeffs[rn]), sense, rhs_map.get(rn, 0.0))
-        for rn, sense in row_order
-    )
-    return IlpModel(name=name, variables=tuple(binaries), objective=tuple(objective), rows=rows)
+    return _assemble(name, declared, columns, objective, rows)
 
 
 # --- CPLEX-style LP ---
@@ -433,101 +466,53 @@ def write_lp(m: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lp_terms(tokens: list[str], var_pos: dict[str, int], where: str):
-    coeffs: list[tuple[int, float]] = []
-    sign = 1.0
-    pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1.0
-        elif tok == "-":
-            sign = -1.0
-        elif pending is None:
-            try:
-                pending = float(tok)
-            except ValueError as exc:
-                raise IlpFormatError(f"expected coefficient in {where}: {tok!r}") from exc
-        else:
-            if tok not in var_pos:
-                raise IlpFormatError(f"unknown variable {tok!r} in {where}")
-            coeffs.append((var_pos[tok], sign * pending))
-            sign, pending = 1.0, None
-    if pending is not None:
-        raise IlpFormatError(f"dangling coefficient in {where}")
-    return coeffs
+_LP_SECTIONS = ("Maximize", "Subject To", "Binary", "End")
 
 
 def read_lp(text: str) -> IlpModel:
-    """Parse LP text produced by write_lp back into an equal model."""
-    name = ""
-    lines = text.splitlines()
-    # first pass: variable order from the Binary section
-    binaries: list[str] = []
-    section = ""
-    seen_sections: set[str] = set()
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("\\"):
-            comment = line[1:].strip()
-            if comment.startswith("name="):
-                name = comment[len("name="):]
-            continue
-        low = line.lower()
-        if low in ("maximize", "minimize", "subject to", "binary", "binaries", "end"):
-            section = low
-            seen_sections.add(low)
-            if low == "minimize":
-                raise IlpFormatError("only maximization models are supported")
-            continue
-        if section in ("", "end"):
-            raise IlpFormatError(f"data line outside a known section: {line!r}")
-        if section in ("binary", "binaries"):
-            binaries.extend(line.split())
-    if "maximize" not in seen_sections:
-        raise IlpFormatError("no Maximize section found")
-    var_pos = {v: i for i, v in enumerate(binaries)}
-    if len(var_pos) != len(binaries):
-        raise IlpFormatError("duplicate variable in Binary section")
-
-    # the empty-row placeholder "0.0 none" parses to a dropped position
-    row_pos = {**var_pos, "none": -1}
-    objective: list[tuple[int, float]] = []
-    rows: list[LinearRow] = []
-    section = ""
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low in ("maximize", "minimize", "subject to", "binary", "binaries", "end"):
-            section = low
-            continue
-        if section == "maximize":
-            if ":" not in line:
-                raise IlpFormatError(f"objective line lacks a label: {line!r}")
-            _, _, rest = line.partition(":")
-            objective.extend(_parse_lp_terms(rest.split(), var_pos, "objective"))
-        elif section == "subject to":
-            label, colon, rest = line.partition(":")
-            if not colon:
-                raise IlpFormatError(f"constraint line lacks a label: {line!r}")
-            tokens = rest.split()
-            sense = None
-            for s in (SENSE_LE, SENSE_GE):
-                if s in tokens:
-                    sense = s
-                    break
-            if sense is None:
-                raise IlpFormatError(f"constraint without sense: {line!r}")
-            at = tokens.index(sense)
-            lhs, rhs_tokens = tokens[:at], tokens[at + 1 :]
-            if len(rhs_tokens) != 1:
-                raise IlpFormatError(f"malformed right-hand side: {line!r}")
-            coeffs = _parse_lp_terms(lhs, row_pos, label.strip())
-            coeffs = [(p, c) for p, c in coeffs if p != -1]
-            rows.append(LinearRow(label.strip(), tuple(coeffs), sense, float(rhs_tokens[0])))
-    return IlpModel(
-        name=name, variables=tuple(binaries), objective=tuple(objective), rows=tuple(rows)
-    )
+    """Parse LP text in the layout of write_lp back into an equal model."""
+    name = section = ""
+    columns: dict[str, int] = {}
+    objective: list[tuple[int, float]] | None = None
+    rows: list[tuple] = []
+    declared: list[str] = []
+    value = _Table(_number)  # each distinct number token parsed once
+    for raw in text.splitlines():
+        if raw in _LP_SECTIONS:
+            section = raw
+        elif section == "Subject To" or section == "Maximize" and objective is None:
+            # "label: c x + c x ... sense rhs", or "obj: c x + c x ..." alone
+            tokens = raw.split()
+            if not tokens or tokens[0][-1] != ":":
+                raise IlpFormatError(f"line lacks a label: {raw!r}")
+            end = len(tokens)
+            if section == "Subject To":
+                end -= 2
+                if tokens[end] not in (SENSE_LE, SENSE_GE):
+                    raise IlpFormatError(f"constraint without sense: {raw!r}")
+            if end % 3 and end != 1:
+                raise IlpFormatError(f"dangling coefficient in {raw!r}")
+            entries = []
+            for at in range(1, end, 3):
+                c = value[tokens[at]]
+                if at > 1 and tokens[at - 1] != "+":
+                    if tokens[at - 1] != "-":
+                        raise IlpFormatError(f"expected '+' or '-' in {raw!r}")
+                    c = -c
+                if c:  # rows hold no zeros, so a zero term is the empty-row filler
+                    entries.append((columns.setdefault(tokens[at + 1], len(columns)), c))
+            if section == "Maximize":
+                objective = entries
+            else:
+                rows.append((tokens[0][:-1], tokens[end], value[tokens[-1]], entries))
+        elif section == "Binary" and raw[:1] == " ":
+            declared.append(raw[1:])
+        elif not section and raw[:7] == "\\ name=":
+            name = raw[7:]
+        else:
+            raise IlpFormatError(f"unexpected line in {section or 'no'} section: {raw!r}")
+    if section != "End":
+        raise IlpFormatError("text does not end with End")
+    if objective is None:
+        raise IlpFormatError("no objective line under Maximize")
+    return _assemble(name, declared, columns, objective, rows)

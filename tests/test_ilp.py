@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkmp.graph import make_graph
 from qkmp.ilp import (
@@ -253,3 +255,78 @@ def test_random_models_round_trip(writer, reader):
         inst = random_battery_instance(rng)
         model = build_ilp(inst)
         assert reader(writer(model)) == model
+
+
+def assert_round_trips(model):
+    """Both formats read back an equal model (name included) and write the
+    same bytes again."""
+    for writer, reader in [(write_mps, read_mps), (write_lp, read_lp)]:
+        text = writer(model)
+        back = reader(text)
+        assert back == model, writer.__name__
+        assert writer(back) == text, writer.__name__
+
+
+class TestNamesRoundTrip:
+    """Names that one of the grammars splits or reserves."""
+
+    def test_model_name_with_inner_spaces(self):
+        assert_round_trips(IlpModel("my model", ("a",), ((0, 1.0),), ()))
+
+    def test_variable_named_none_keeps_its_terms(self):
+        # the LP filler term of the empty row reads "0.0 none" here too
+        rows = (
+            LinearRow("r", ((0, 2.0), (1, -1.0)), SENSE_LE, 1.0),
+            LinearRow("blank", (), SENSE_GE, 0.0),
+        )
+        model = IlpModel("m", ("none", "b"), ((0, 1.0),), rows)
+        assert "blank: 0.0 none >= 0.0" in write_lp(model).splitlines()
+        assert_round_trips(model)
+
+    @pytest.mark.parametrize("name", ["end", "End", "Binary"])
+    def test_variable_named_like_a_section_keyword(self, name):
+        rows = (LinearRow("r", ((0, 1.0), (1, 1.0)), SENSE_LE, 1.0),)
+        assert_round_trips(IlpModel("m", ("a", name), ((1, 1.0),), rows))
+
+    def test_row_name_with_a_colon(self):
+        rows = (LinearRow("cap:0", ((0, 1.0),), SENSE_LE, 1.0),)
+        assert_round_trips(IlpModel("m", ("a",), ((0, 1.0),), rows))
+
+
+# whitespace-free names, among them the words and characters the LP and MPS
+# grammars use
+NAMES = st.one_of(
+    st.sampled_from(["none", "end", "End", "Binary", "Maximize", "NAME", "RHS", "obj", "cap:0"]),
+    st.text(alphabet="az09_:.+-<=>*\\", min_size=1, max_size=5),
+)
+# few values, so that coefficients repeat, and any finite float
+VALUES = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.25, 3.75, -2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def ilp_models(draw):
+    variables = tuple(draw(st.lists(NAMES, max_size=5, unique=True)))
+    if variables:
+        terms = st.lists(st.tuples(st.integers(0, len(variables) - 1), VALUES), max_size=4)
+    else:
+        terms = st.just([])
+    row_names = draw(st.lists(NAMES.filter(lambda s: s != OBJ_ROW_NAME), max_size=4, unique=True))
+    rows = [
+        LinearRow(
+            row_name,
+            draw(terms),
+            draw(st.sampled_from([SENSE_LE, SENSE_GE])),
+            draw(st.one_of(st.just(-0.0), VALUES)),
+        )
+        for row_name in row_names
+    ]
+    return IlpModel(draw(st.one_of(st.just(""), NAMES)), variables, draw(terms), rows)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(model=ilp_models())
+def test_hand_made_models_round_trip(model):
+    assert_round_trips(model)

@@ -205,6 +205,16 @@ def test_read_mps_places_columns_in_bounds_order():
         (" BV BND c", " BV BND b", "duplicate variable"),
         (" G r2", " E r2", "unsupported row type"),
         (" N obj", None, "no objective row"),
+        (" a r1 -0.5", " a r1 -0.5x", "bad number '-0.5x'"),
+        (" RHS r1 1.75", " RHS r1 abc", "bad number 'abc'"),
+        (" L r1", " L r1\n L r1", "duplicate row name 'r1'"),
+        ("OBJSENSE", "OBJSENSE MAX", "not a section header: 'OBJSENSE MAX'"),
+        ("ROWS", "rows", "not a section header: 'rows'"),
+        (" N obj", "* N obj", "not a section header: '\\* N obj'"),
+        (" a obj 2.0", "\ta obj 2.0", "not a section header"),
+        (" b obj 2.0", " MARKER 'MARKER' 'INTORG'", "entry for undeclared row"),
+        ("ENDATA", None, "does not end with ENDATA"),
+        (" RHS r1 1.75", " RHS obj 1.75", "RHS entry for the objective row"),
     ],
     ids=[
         "odd-columns",
@@ -216,6 +226,16 @@ def test_read_mps_places_columns_in_bounds_order():
         "duplicate-bv",
         "row-type",
         "no-n-row",
+        "bad-number",
+        "bad-rhs-number",
+        "duplicate-row",
+        "inline-objsense",
+        "lower-case-header",
+        "comment",
+        "tab-indent",
+        "marker",
+        "no-endata",
+        "objective-rhs",
     ],
 )
 def test_read_mps_refuses_each_one_line_edit(line, edit, error):
@@ -224,6 +244,53 @@ def test_read_mps_refuses_each_one_line_edit(line, edit, error):
     lines[at : at + 1] = [edit] if edit else []
     with pytest.raises(IlpFormatError, match=error):
         read_mps("\n".join(lines) + "\n")
+
+
+R1 = "r1: -0.5 a + 0.25 d <= 1.75"
+R2 = "r2: 0.25 b - 0.5 d >= -0.5"
+
+
+@pytest.mark.parametrize(
+    "line,edit,error",
+    [
+        (R1, "-0.5 a + 0.25 d <= 1.75", "lacks a label"),
+        (R2, "r2: 0.25 b - 0.5 d -0.5", "constraint without sense"),
+        ("obj: 2.0 a + 2.0 b", "obj: 2.0 a + 2.0", "dangling coefficient"),
+        ("obj: 2.0 a + 2.0 b", "obj: 2.0 a * 2.0 b", r"expected '\+' or '-'"),
+        (R1, "r1: -0.5 a + 0.25 e <= 1.75", "column 'e' has no BV bound"),
+        (" c", " b", "duplicate variable 'b'"),
+        (" c", "c", "unexpected line in Binary section: 'c'"),
+        ("Maximize", "Minimize", "unexpected line in no section: 'Minimize'"),
+        ("Subject To", "subject to", "unexpected line in Maximize section: 'subject to'"),
+        ("\\ name=w", "name=w", "unexpected line in no section: 'name=w'"),
+        (R1, "r1: -0.5 a + 0.25 d <= abc", "bad number 'abc'"),
+        (R2, "r1: 0.25 b - 0.5 d >= -0.5", "duplicate row name 'r1'"),
+        ("obj: 2.0 a + 2.0 b", None, "no objective line"),
+        ("End", None, "does not end with End"),
+    ],
+    ids=[
+        "no-label",
+        "no-sense",
+        "dangling-coefficient",
+        "bad-sign",
+        "undeclared-variable",
+        "duplicate-binary",
+        "unindented-binary",
+        "minimize",
+        "lower-case-header",
+        "outside-a-section",
+        "bad-number",
+        "duplicate-row",
+        "no-objective",
+        "no-end",
+    ],
+)
+def test_read_lp_refuses_each_one_line_edit(line, edit, error):
+    lines = TABLES_LP.splitlines()
+    at = lines.index(line)
+    lines[at : at + 1] = [edit] if edit else []
+    with pytest.raises(IlpFormatError, match=error):
+        read_lp("\n".join(lines) + "\n")
 
 
 class TestRowNormalization:
