@@ -9,10 +9,36 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 #: Resampling bound when conditioning Erdos-Renyi draws on connectivity.
 CONNECTIVITY_RETRY_LIMIT = 10_000
+
+
+def as_count(value, what: str) -> int:
+    """The one rule for an outside number that must be a whole count.
+
+    An int is taken as it is and an integral float such as ``2.0`` becomes
+    that int. Anything else, including ``2.5``, a bool, a string or None,
+    raises ``ValueError`` instead of being truncated by ``int()``.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
+def json_fields(data, what: str, *names: str) -> list:
+    """The named fields of a JSON object; a non-object or a missing field
+    raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise ValueError(f"{what} JSON lacks the field(s) {', '.join(missing)}")
+    return [data[name] for name in names]
 
 
 class GraphError(Exception):
@@ -37,7 +63,8 @@ class Graph:
 
     ``edges`` is normalized to a lexicographically sorted tuple of ``(i, j)``
     pairs with ``i < j``; ``adjacency[i]`` is the neighbor set N(i). Self
-    loops and duplicate edges are rejected.
+    loops and duplicate edges are rejected, and so are a vertex count or an
+    endpoint that is not a whole number (see ``as_count``).
     """
 
     n: int
@@ -47,19 +74,23 @@ class Graph:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_count(self.n, "vertex count"))
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")
         seen: set[tuple[int, int]] = set()
-        for pair in self.edges:
-            i, j = pair
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {tuple(pair)} out of range for n={self.n}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+        try:
+            for i, j in self.edges:
+                i, j = as_count(i, "edge endpoint"), as_count(j, "edge endpoint")
+                if i == j:
+                    raise ValueError(f"self-loop at vertex {i}")
+                if not (0 <= i < self.n and 0 <= j < self.n):
+                    raise ValueError(f"edge {(i, j)} out of range for n={self.n}")
+                key = (i, j) if i < j else (j, i)
+                if key in seen:
+                    raise ValueError(f"duplicate edge {key}")
+                seen.add(key)
+        except TypeError:  # the edges, or one of them, cannot be unpacked
+            raise ValueError("edges must be a list of vertex pairs") from None
         object.__setattr__(self, "edges", tuple(sorted(seen)))
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for i, j in self.edges:
@@ -83,10 +114,8 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        if not isinstance(data, dict):
-            raise ValueError("graph JSON must be an object")
-        edges = tuple((int(i), int(j)) for i, j in data["edges"])
-        return cls(n=int(data["n"]), edges=edges)
+        n, edges = json_fields(data, "graph", "n", "edges")
+        return cls(n=n, edges=edges)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -142,6 +171,10 @@ def generate_er(n: int, d: float, seed: int) -> Graph:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(CONNECTIVITY_RETRY_LIMIT):
         edges = tuple(pair for pair in pairs if rng.random() < d)
+        # most rejected draws leave a vertex isolated: refuse those before
+        # paying for a Graph
+        if n > 1 and len(set(chain.from_iterable(edges))) < n:
+            continue
         g = Graph(n=n, edges=edges)
         if is_connected(g):
             return g

@@ -17,6 +17,8 @@ import concurrent.futures
 import csv
 import io
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 from .graph import GraphError, generate_er
 from .instance import KmpInstance
@@ -139,22 +141,22 @@ def run_single(cfg: ExperimentConfig, index: int) -> InstanceRow:
 def run_experiment(cfg: ExperimentConfig, parallel_instances: int = 1) -> ExperimentStats:
     """Solve every instance of a configuration; stats in seed order.
 
-    Per-instance failures become ERROR rows instead of aborting the batch.
-    With a pool, that includes any exception a worker raises and a worker
-    that dies, which breaks the pool for every index still pending. The
-    worker count changes scheduling only, never the per-instance results.
+    Per-instance failures become ERROR rows instead of aborting the batch,
+    serial or pooled: any exception an instance raises, and with a pool a
+    worker that dies, which breaks the pool for every index still pending.
+    The worker count changes scheduling only, never the per-instance results.
     """
     if parallel_instances < 1:
         raise ValueError("parallel_instances must be at least 1")
     indices = range(cfg.instance_count)
     if parallel_instances == 1:
-        rows = [run_single(cfg, i) for i in indices]
+        rows = [_row(cfg.base_seed + i, partial(run_single, cfg, i)) for i in indices]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=parallel_instances
         ) as pool:
             futures = [_submit(pool, cfg, i) for i in indices]
-            rows = [_pooled_row(cfg.base_seed + i, f) for i, f in zip(indices, futures)]
+            rows = [_row(cfg.base_seed + i, f.result) for i, f in zip(indices, futures)]
     return ExperimentStats(config_id=cfg.config_id, rows=tuple(rows))
 
 
@@ -168,9 +170,10 @@ def _submit(pool, cfg: ExperimentConfig, index: int) -> concurrent.futures.Futur
         return failed
 
 
-def _pooled_row(seed: int, future: concurrent.futures.Future) -> InstanceRow:
+def _row(seed: int, result: Callable[[], InstanceRow]) -> InstanceRow:
+    """The row ``result()`` returns, or an ERROR row for what it raises."""
     try:
-        return future.result()
+        return result()
     except Exception as exc:
         return _error_row(seed, repr(exc))
 

@@ -9,10 +9,8 @@ the mathematical model.
 Every row and the objective keep their (position, coefficient) pairs in
 stable position order, without zeros, so a model's range check reads only the
 first and last position of each row. The public ``LinearRow`` constructor and
-both readers normalize every row they make. ``build_ilp`` does so only for
-its capacity and usage rows, which carry user weights and limits; its other
-rows get the invariant from ``Graph``, which keeps its edges sorted with
-i < j, and from ``KmpInstance``, which refuses q < 1.
+both readers normalize every row they make; ``build_ilp`` makes its rows in
+that form already (see there).
 
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers accept the layout these writers produce,
@@ -232,19 +230,15 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
     y_plus = [(y, 1.0) for y in range(ybase, ybase + len(edges) * K)]
     link_z = -float(inst.q)  # nonzero: KmpInstance refuses q < 1
 
-    # The link, nbr and envelope rows are made without normalizing. They rely
-    # on Graph's invariant (edges sorted int pairs with i < j), which puts
-    # x_ik < x_jk < any z or y and gives each vertex ascending neighbor edges.
+    # Every row is made without normalizing. The rows rely on Graph's
+    # invariant (edges sorted int pairs with i < j), which puts
+    # x_ik < x_jk < any z or y and gives each vertex ascending neighbor edges,
+    # and on KmpInstance refusing weights <= 0, so no coefficient is zero.
+    mem = [float(m) for m in inst.mem_per_key]
     rows: list[LinearRow] = []
     for i in range(n):
-        rows.append(
-            LinearRow(
-                f"cap_{i}",
-                tuple((i * K + k, inst.mem_per_key[k]) for k in range(K)),
-                SENSE_LE,
-                inst.capacity[i],
-            )
-        )
+        coeffs = tuple([(i * K + k, mem[k]) for k in range(K)])
+        rows.append(_checked_row(f"cap_{i}", coeffs, SENSE_LE, float(inst.capacity[i])))
     for e, (i, j) in enumerate(edges):
         coeffs = ((zbase + e, link_z), *y_plus[e * K : e * K + K])
         rows.append(_checked_row(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
@@ -264,14 +258,8 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
             rows.append(_checked_row("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
             rows.append(_checked_row("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
     for k in range(K):
-        rows.append(
-            LinearRow(
-                f"use_{k}",
-                tuple((i * K + k, 1.0) for i in range(n)),
-                SENSE_LE,
-                float(inst.usage_limit[k]),
-            )
-        )
+        coeffs = tuple([(i * K + k, 1.0) for i in range(n)])
+        rows.append(_checked_row(f"use_{k}", coeffs, SENSE_LE, float(inst.usage_limit[k])))
 
     objective = tuple((zbase + e, 1.0) for e in range(len(edges)))
     return IlpModel(

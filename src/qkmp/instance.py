@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import Graph, is_connected
+from .graph import Graph, as_count, is_connected, json_fields
 
 CAPACITY = "CAPACITY"
 NEIGHBORHOOD_USE = "NEIGHBORHOOD_USE"
@@ -29,6 +29,10 @@ class KmpInstance:
     capacity ``capacity[i]``, key ``k`` may appear on at most
     ``usage_limit[k]`` vertices, and within any neighborhood a key held by
     vertex i may be shared with at most ``p * |N(i)| + alpha`` neighbors.
+
+    ``key_count``, ``q``, ``alpha`` and the usage limits are whole numbers
+    (see ``as_count``); ``p``, the key weights and the capacities are ints
+    or floats. Anything else raises ``ValueError``.
     """
 
     graph: Graph
@@ -41,9 +45,17 @@ class KmpInstance:
     usage_limit: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mem_per_key", tuple(self.mem_per_key))
-        object.__setattr__(self, "capacity", tuple(self.capacity))
-        object.__setattr__(self, "usage_limit", tuple(self.usage_limit))
+        for name in ("key_count", "q", "alpha"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        try:
+            mem, cap, limit = map(tuple, (self.mem_per_key, self.capacity, self.usage_limit))
+        except TypeError:
+            raise ValueError("mem_per_key, capacity and usage_limit must be lists") from None
+        object.__setattr__(self, "mem_per_key", mem)
+        object.__setattr__(self, "capacity", cap)
+        object.__setattr__(self, "usage_limit", tuple(as_count(t, "usage limit") for t in limit))
+        if any(type(w) not in (int, float) for w in (self.p, *mem, *cap)):
+            raise ValueError("p, per-key memory and capacities must be numbers")
         if self.key_count < 0:
             raise ValueError("key_count must be non-negative")
         if self.q < 1:
@@ -119,18 +131,12 @@ class KmpInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KmpInstance":
-        if not isinstance(data, dict):
-            raise ValueError("instance JSON must be an object")
-        return cls(
-            graph=Graph.from_json_dict(data["graph"]),
-            key_count=int(data["key_count"]),
-            q=int(data["q"]),
-            p=float(data["p"]),
-            alpha=int(data["alpha"]),
-            mem_per_key=tuple(data["mem_per_key"]),
-            capacity=tuple(data["capacity"]),
-            usage_limit=tuple(data["usage_limit"]),
+        names = (
+            "graph", "key_count", "q", "p", "alpha", "mem_per_key", "capacity", "usage_limit"
         )
+        fields = dict(zip(names, json_fields(data, "instance", *names)))
+        fields["graph"] = Graph.from_json_dict(fields["graph"])
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,10 @@ class KeyAssignment:
     x: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.x)
+        try:
+            rows = tuple(tuple(as_count(v, "assignment entry") for v in row) for row in self.x)
+        except TypeError:
+            raise ValueError("assignment must be a list of rows") from None
         if any(v not in (0, 1) for row in rows for v in row):
             raise ValueError("assignment entries must be 0 or 1")
         if len({len(row) for row in rows}) > 1:
@@ -171,9 +180,8 @@ class KeyAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KeyAssignment":
-        if not isinstance(data, dict):
-            raise ValueError("assignment JSON must be an object with an 'x' field")
-        return cls.from_rows(data["x"])
+        (x,) = json_fields(data, "assignment", "x")
+        return cls(x=x)
 
 
 class Violation(NamedTuple):

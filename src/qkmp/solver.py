@@ -81,18 +81,16 @@ class SolveResult:
     nodes: int
     wall_time: float
 
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "status": self.status,
             "objective": self.lower_bound,
             "bound": self.upper_bound,
             "gap": self.gap,
             "nodes": self.nodes,
+            "wall_time": self.wall_time,
+            "x": [list(row) for row in self.incumbent.x],
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        out["x"] = [list(row) for row in self.incumbent.x]
-        return out
 
 
 def compute_gap(lower: float, upper: float) -> float:
@@ -209,12 +207,12 @@ def brute_force(inst: KmpInstance) -> SolveResult:
 class _State:
     """Mutable search state shared by the heuristic and the tree search.
 
-    Both set a 1 only through ``can_hold`` / ``place`` / ``unplace``. The
-    search goes through ``fix`` / ``undo_to``, which add the trail, the
-    forced zeros and ``mem`` on top, and through ``give_up``, after which
-    ``fix`` keeps that edge below q shared keys.
+    Both set a 1 only through ``can_hold`` / ``hold``. The search goes
+    through ``fix`` / ``undo_to``, which add the trail, the forced zeros and
+    ``mem`` on top, and through ``give_up``, after which ``fix`` keeps that
+    edge below q shared keys.
 
-    Every cell change goes through one of two signed mutators: ``_hold``
+    Every cell change goes through one of two signed mutators: ``hold``
     adds or drops a 1, ``_zero`` fixes or reopens a 0. Both mark the cell's
     key and vertex stale, which keeps the node bound's cached per-key
     ``caps`` and per-vertex ``budgets`` valid: a cap reads column k of
@@ -302,7 +300,7 @@ class _State:
         With ``without`` set, v's ring loses that key first. Only capacity
         reads it: dropping another key changes neither ``usage[k]`` nor any
         ``cnt[.][k]``, so the answer is the one ``can_hold`` would give after
-        ``unplace(v, without)``.
+        ``hold(v, without, -1)``.
         """
         if self.usage[k] + 1 > self.inst.usage_limit[k]:
             return False
@@ -314,21 +312,13 @@ class _State:
                 return False
         return True
 
-    def place(self, v: int, k: int) -> None:
-        """Set cell (v, k) to 1 and update usage and the holder counts
-        (``cnt``, ``shared``, ``secured``, ``pair_count``).
+    def hold(self, v: int, k: int, d: int) -> None:
+        """Add key k to v's ring (d = 1) or take it off again (d = -1) and
+        update usage, ``cnt``, ``shared``, ``secured`` and ``pair_count``.
 
         ``mem`` is left alone: ``fix`` and ``undo_to`` keep it, and the
         heuristic checks capacity through ``fits``.
         """
-        self._hold(v, k, 1)
-
-    def unplace(self, v: int, k: int) -> None:
-        """Exact inverse of ``place(v, k)``; the cell is undecided again."""
-        self._hold(v, k, -1)
-
-    def _hold(self, v: int, k: int, d: int) -> None:
-        """Add key k to v's ring (d = 1) or take it off again (d = -1)."""
         self.val[v][k] = d  # 1 held, -1 undecided
         used = self.usage[k] = self.usage[k] + d
         self.stale_keys.add(k)
@@ -374,7 +364,7 @@ class _State:
             return True
         if not self.can_hold(v, k):
             return False
-        self.place(v, k)
+        self.hold(v, k, 1)
         self.trail.append((v, k))
         self.mem[v] = self.ring_mem(v)
 
@@ -441,7 +431,7 @@ class _State:
         while len(trail) > mark:
             v, k = trail.pop()
             if self.val[v][k] == 1:
-                self.unplace(v, k)
+                self.hold(v, k, -1)
                 self.mem[v] = self.ring_mem(v)
             else:
                 self._zero(v, k, -1)
@@ -525,16 +515,12 @@ class _State:
         disjoint pairs and are left uncharged.
         """
         inst = self.inst
-        secured = 0
-        unsec = 0
+        secured = self.secured  # for q = 1, the edges with a shared key
+        unsec = len(self.edges) - secured
         hub_edges = 0
-        for e, (i, j) in enumerate(self.edges):
-            if self.shared[e] >= 1:
-                secured += 1
-            else:
-                unsec += 1
-                if self.ncap[i] >= 2 or self.ncap[j] >= 2:
-                    hub_edges += 1
+        for (i, j), s in zip(self.edges, self.shared):
+            if not s and (self.ncap[i] >= 2 or self.ncap[j] >= 2):
+                hub_edges += 1
         first_units = 0
         extend_extras = 0  # keys that already pair somewhere, one hub edge each
         fresh_extras: list[int] = []  # extras of pairless small-ring keys
@@ -693,25 +679,23 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
         for _, _, _, k in ranked:
             if st.shared[e] >= q:
                 break
-            missing = [v for v in (i, j) if st.val[v][k] != 1]
-            ok = True
-            done: list[int] = []
-            for v in missing:
-                if st.can_hold(v, k):
-                    st.place(v, k)
-                    done.append(v)
-                else:
-                    ok = False
-                    break
-            if ok:
-                placed.extend((v, k) for v in done)
+            done: list[tuple[int, int]] = []
+            for v in (i, j):
+                if st.val[v][k] != 1:
+                    if not st.can_hold(v, k):
+                        break
+                    st.hold(v, k, 1)
+                    done.append((v, k))
             else:
-                for v in reversed(done):
-                    st.unplace(v, k)
+                placed += done
+                continue
+            # j refused k: take back i's cell, if k was placed there
+            if done:
+                st.hold(i, k, -1)
         if st.shared[e] < q:
             # could not secure this edge; return its keys to the pool
             for v, k in reversed(placed):
-                st.unplace(v, k)
+                st.hold(v, k, -1)
 
     # 1-swap local search: replace one ring key with one absent key when the
     # move is feasible and strictly increases the secured-edge count
@@ -725,24 +709,23 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
                 if st.val[v][a] != 1:
                     continue
                 for b in range(K):
-                    if st.val[v][b] == 1 or b == a:
+                    if st.val[v][b] == 1:
                         continue
                     if st.cnt[v][b] == 0:  # no neighbor holds b
                         continue
                     if not st.can_hold(v, b, without=a):
                         continue
                     before = st.secured
-                    st.unplace(v, a)
-                    st.place(v, b)
+                    st.hold(v, a, -1)
+                    st.hold(v, b, 1)
                     if st.secured > before:
                         improved = True
                         break
-                    st.unplace(v, b)
-                    st.place(v, a)
+                    st.hold(v, b, -1)
+                    st.hold(v, a, 1)
                 if st.val[v][a] != 1:
                     break
-    rows = st.materialize()
-    return KeyAssignment(rows)
+    return KeyAssignment(st.materialize())
 
 
 def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:

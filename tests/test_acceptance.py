@@ -58,8 +58,9 @@ def verdict(label, cap):
 
 def solve_json(inst, seed):
     """Canonical bytes for one solve, wall time stripped."""
-    r = solve_bb(inst, SolverConfig(time_limit=300.0, seed=seed))
-    return json.dumps(r.to_json_dict(include_wall_time=False), sort_keys=True)
+    out = solve_bb(inst, SolverConfig(time_limit=300.0, seed=seed)).to_json_dict()
+    del out["wall_time"]
+    return json.dumps(out, sort_keys=True)
 
 
 def oracle_battery():

@@ -104,6 +104,70 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
 
 
+TRIANGLE_JSON = {
+    "graph": {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+    "key_count": 2, "q": 1, "p": 0.5, "alpha": 1,
+    "mem_per_key": [1, 1], "capacity": [2, 2, 2], "usage_limit": [3, 3],
+}
+
+
+def triangle_with(**changes):
+    return {**TRIANGLE_JSON, **changes}
+
+
+# each was solved after truncation, or crashed with a traceback, before
+MALFORMED_INSTANCES = {
+    "usage-limit-2.5": triangle_with(usage_limit=[2.5, 3]),
+    "usage-limit-scalar": triangle_with(usage_limit=3),
+    "key-count-2.5": triangle_with(key_count=2.5),
+    "q-1.7": triangle_with(q=1.7),
+    "q-true": triangle_with(q=True),
+    "alpha-1.5": triangle_with(alpha=1.5),
+    "p-string": triangle_with(p="0.5"),
+    "mem-string": triangle_with(mem_per_key=["1", 1]),
+    "capacity-null": triangle_with(capacity=[None, 2, 2]),
+    "n-3.7": triangle_with(graph={"n": 3.7, "edges": [[0, 1], [0, 2], [1, 2]]}),
+    "endpoint-2.5": triangle_with(graph={"n": 3, "edges": [[0, 1], [0, 2], [1, 2.5]]}),
+    "edges-scalar": triangle_with(graph={"n": 3, "edges": 5}),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES)
+def test_solve_refuses_malformed_instance(tmp_path, capsys, data):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_solve_accepts_whole_number_floats(tmp_path, capsys):
+    data = triangle_with(
+        graph={"n": 3.0, "edges": [[0.0, 1], [0, 2], [1, 2]]},
+        key_count=2.0, q=1.0, alpha=1.0, usage_limit=[3.0, 3],
+    )
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["objective"]) == ("OPTIMAL", 3)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[[0.5, 1.9], [0, 0], [0, 0]], 5, [[0, 1], 7, [0, 0]]],
+    ids=["fractions", "scalar", "row-scalar"],
+)
+def test_validate_refuses_malformed_assignment(tmp_path, capsys, x):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(TRIANGLE_JSON))
+    assignment = tmp_path / "x.json"
+    assignment.write_text(json.dumps({"x": x}))
+    assert main(["validate", str(inst), str(assignment)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestExport:
     def test_mps_round_trip(self, tmp_path, capsys):
         path = gen_instance_file(tmp_path)

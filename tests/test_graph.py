@@ -111,6 +111,31 @@ def test_graph_json_round_trip():
     assert Graph.from_json_dict(g.to_json_dict()) == g
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 3.7, "edges": [[0, 1], [1, 2]]},
+        {"n": 3, "edges": [[0, 1.5], [1, 2]]},
+        {"n": 3, "edges": [[0, "1"], [1, 2]]},
+        {"n": True, "edges": []},
+        {"n": 3, "edges": 5},
+        {"n": 3, "edges": [0, 1]},
+        {"n": 3},
+        {"edges": []},
+    ],
+)
+def test_graph_json_refuses_what_is_not_whole_numbers(data):
+    with pytest.raises(ValueError):
+        Graph.from_json_dict(data)
+
+
+def test_graph_json_reads_whole_number_floats():
+    g = Graph.from_json_dict({"n": 3.0, "edges": [[0.0, 1.0], [1, 2]]})
+    assert g == make_graph(3, [(0, 1), (1, 2)])
+    assert type(g.n) is int
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
 def test_graph_json_sorted_edges():
     g = make_graph(4, [(3, 2), (1, 0)])
     assert g.to_json_dict() == {"n": 4, "edges": [[0, 1], [2, 3]]}

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from qkmp import harness
 from qkmp.harness import (
     CSV_HEADER,
     DESK_INSTANCE_COUNT,
@@ -192,6 +193,21 @@ class TestRunExperiment:
     def test_worker_exception_becomes_error_row(self):
         stats = run_experiment(failing_config(), parallel_instances=2)
         assert [r.seed for r in stats.rows] == [900, 901, 902, 903]
+        assert [r.status for r in stats.rows] == [OPTIMAL, "ERROR", OPTIMAL, OPTIMAL]
+        assert stats.rows[1].note == "RuntimeError('boom at seed 901')"
+        assert stats.rows[1].objective is None and stats.rows[1].wall_time is None
+
+    def test_serial_exception_becomes_error_row(self, monkeypatch):
+        # the same failure a pool turns into an ERROR row, without a pool
+        solve = harness.solve_bb
+
+        def failing_solve(inst, cfg):
+            if cfg.seed == 901:
+                raise RuntimeError("boom at seed 901")
+            return solve(inst, cfg)
+
+        monkeypatch.setattr(harness, "solve_bb", failing_solve)
+        stats = run_experiment(tiny_config(), parallel_instances=1)
         assert [r.status for r in stats.rows] == [OPTIMAL, "ERROR", OPTIMAL, OPTIMAL]
         assert stats.rows[1].note == "RuntimeError('boom at seed 901')"
         assert stats.rows[1].objective is None and stats.rows[1].wall_time is None

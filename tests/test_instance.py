@@ -16,6 +16,7 @@ from qkmp.instance import (
     evaluate,
     shared_keys,
 )
+from qkmp.solver import OPTIMAL, solve_bb
 
 from helpers import connected_random_graph, indirect_link_scenario
 
@@ -66,6 +67,38 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             simple_instance(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"usage_limit": (2.5, 3)},
+            {"usage_limit": 3},
+            {"q": 1.5},
+            {"q": True},
+            {"alpha": 1.5},
+            {"p": "0.5"},
+            {"mem_per_key": ("1", 1.0)},
+            {"capacity": (None, 2.0, 2.0)},
+        ],
+    )
+    def test_rejects_inputs_that_are_not_whole_numbers_or_numbers(self, overrides):
+        with pytest.raises(ValueError):
+            simple_instance(**overrides)
+
+    def test_whole_number_floats_become_ints(self):
+        inst = simple_instance(key_count=2.0, q=1.0, alpha=1.0, usage_limit=(3.0, 2.0))
+        assert [type(v) for v in (inst.key_count, inst.q, inst.alpha)] == [int] * 3
+        assert inst.usage_limit == (3, 2)
+        assert all(type(t) is int for t in inst.usage_limit)
+        assert solve_bb(inst).status == OPTIMAL
+        assert KmpInstance.from_json_dict(inst.to_json_dict()) == inst
+
+    @pytest.mark.parametrize("missing", ["graph", "q", "usage_limit"])
+    def test_json_without_a_field_is_refused(self, missing):
+        data = simple_instance().to_json_dict()
+        del data[missing]
+        with pytest.raises(ValueError, match=missing):
+            KmpInstance.from_json_dict(data)
+
     def test_rejects_disconnected_graph(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
@@ -104,6 +137,21 @@ class TestKeyAssignment:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             KeyAssignment.from_rows([[0, 2]])
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1.9]], [[0, True]], [[0, "1"]], [5]])
+    def test_rejects_entries_that_are_not_whole_numbers(self, rows):
+        with pytest.raises(ValueError):
+            KeyAssignment.from_json_dict({"x": rows})
+
+    def test_whole_number_float_entries_are_read(self):
+        a = KeyAssignment.from_json_dict({"x": [[1.0, 0.0], [0, 1]]})
+        assert a == KeyAssignment.from_rows([[1, 0], [0, 1]])
+        assert all(type(v) is int for row in a.x for v in row)
+
+    @pytest.mark.parametrize("data", [{}, {"y": [[0]]}])
+    def test_json_without_x_is_refused(self, data):
+        with pytest.raises(ValueError, match="x"):
+            KeyAssignment.from_json_dict(data)
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 The search pins were recorded when the search began to branch on edges, and
 the greedy pins before the heuristic moved onto the search state's own
-can_hold / place / unplace. A change that claims to leave the search or the
+can_hold / hold. A change that claims to leave the search or the
 heuristic alone must leave them alone too: status, objective, bound, node
 count and the incumbent's bytes stay fixed under a node budget, and so do the
 bytes of every greedy restart.
