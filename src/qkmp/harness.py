@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .graph import GraphError, generate_er
+from .graph import GraphError, as_count, generate_er
 from .instance import KmpInstance
 from .solver import FEASIBLE_TIMEOUT, OPTIMAL, SolverConfig, solve_bb
 
@@ -47,6 +47,8 @@ class ExperimentConfig:
     base_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("instance_count", "base_seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
         if not self.time_limit_seconds > 0:

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 
+from .graph import as_count
 from .instance import KeyAssignment, KmpInstance, evaluate
 
 OPTIMAL = "OPTIMAL"
@@ -67,8 +68,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.time_limit > 0:  # NaN compares false, so it fails too
             raise ValueError("time_limit must be positive")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError("node_limit must be positive when given")
+        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
+        if self.node_limit is not None:
+            object.__setattr__(self, "node_limit", as_count(self.node_limit, "node_limit"))
+            if self.node_limit < 1:
+                raise ValueError("node_limit must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -276,36 +280,26 @@ class _State:
         # edges the search has given up (see give_up); bound() counts none
         self.given_up = [False] * len(self.edges)
 
-    def ring_mem(self, v: int, extra: int = -1, without: int = -1) -> float:
-        """Capacity lhs of v's ring plus key ``extra`` and minus key
-        ``without``, summed in key-index order exactly as the validator sums
-        it."""
+    def ring_mem(self, v: int, extra: int = -1) -> float:
+        """Capacity lhs of v's ring plus key ``extra``, summed in key-index
+        order exactly as the validator sums it."""
         row = self.val[v]
         return sum(
-            self.inst.mem_per_key[k]
-            for k in range(self.K)
-            if (row[k] == 1 and k != without) or k == extra
+            self.inst.mem_per_key[k] for k in range(self.K) if row[k] == 1 or k == extra
         )
 
-    def fits(self, v: int, k: int, without: int = -1) -> bool:
-        """The one capacity predicate: does key k fit on v's current ring,
-        with key ``without`` taken off it?"""
-        return self.ring_mem(v, k, without) <= self.inst.capacity[v]
+    def fits(self, v: int, k: int) -> bool:
+        """The one capacity predicate: does key k fit on v's current ring?"""
+        return self.ring_mem(v, k) <= self.inst.capacity[v]
 
-    def can_hold(self, v: int, k: int, without: int = -1) -> bool:
+    def can_hold(self, v: int, k: int) -> bool:
         """May the undecided cell (v, k) take a 1? Checks key k's usage, v's
         capacity, v's own neighborhood row and the row of every neighbor
-        that holds k.
-
-        With ``without`` set, v's ring loses that key first. Only capacity
-        reads it: dropping another key changes neither ``usage[k]`` nor any
-        ``cnt[.][k]``, so the answer is the one ``can_hold`` would give after
-        ``hold(v, without, -1)``.
-        """
+        that holds k."""
         if self.usage[k] + 1 > self.inst.usage_limit[k]:
             return False
         val, cnt, ncap = self.val, self.cnt, self.ncap
-        if cnt[v][k] > ncap[v] or not self.fits(v, k, without):
+        if cnt[v][k] > ncap[v] or not self.fits(v, k):
             return False
         for u in self.adj[v]:
             if val[u][k] == 1 and cnt[u][k] + 1 > ncap[u]:
@@ -647,7 +641,7 @@ class _State:
 
 
 def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
-    """Feasible constructive assignment plus 1-swap improvement.
+    """Feasible constructive assignment, one pass over the edges.
 
     Edges are visited hubs-first; each edge greedily acquires up to q shared
     keys, preferring keys already held by one endpoint and breaking usage
@@ -697,34 +691,6 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
             for v, k in reversed(placed):
                 st.hold(v, k, -1)
 
-    # 1-swap local search: replace one ring key with one absent key when the
-    # move is feasible and strictly increases the secured-edge count
-    improved = True
-    passes = 0
-    while improved and passes < 2 * g.n:
-        improved = False
-        passes += 1
-        for v in range(g.n):
-            for a in range(K):
-                if st.val[v][a] != 1:
-                    continue
-                for b in range(K):
-                    if st.val[v][b] == 1:
-                        continue
-                    if st.cnt[v][b] == 0:  # no neighbor holds b
-                        continue
-                    if not st.can_hold(v, b, without=a):
-                        continue
-                    before = st.secured
-                    st.hold(v, a, -1)
-                    st.hold(v, b, 1)
-                    if st.secured > before:
-                        improved = True
-                        break
-                    st.hold(v, b, -1)
-                    st.hold(v, a, 1)
-                if st.val[v][a] != 1:
-                    break
     return KeyAssignment(st.materialize())
 
 
@@ -818,10 +784,8 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         frame = stack[-1]
         e, children, pos, mark, frame_bound = frame
         st.undo_to(mark)
-        if cfg.node_limit is not None and nodes >= cfg.node_limit:
-            result = FEASIBLE_TIMEOUT
-            break
-        if time.perf_counter() - start > cfg.time_limit:
+        out_of_nodes = cfg.node_limit is not None and nodes >= cfg.node_limit
+        if out_of_nodes or time.perf_counter() - start > cfg.time_limit:
             result = FEASIBLE_TIMEOUT
             break
         if pos == len(children):

@@ -118,6 +118,26 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(instance_count=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"instance_count": 2.5},
+            {"instance_count": True},
+            {"instance_count": "4"},
+            {"base_seed": None},
+            {"base_seed": 900.5},
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, overrides):
+        with pytest.raises(ValueError, match="whole number"):
+            tiny_config(**overrides)
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = tiny_config(instance_count=2.0, base_seed=900.0)
+        assert (cfg.instance_count, cfg.base_seed) == (2, 900)
+        assert type(cfg.instance_count) is int and type(cfg.base_seed) is int
+        assert [r.seed for r in run_experiment(cfg).rows] == [900, 901]
+
     def test_rejects_nonpositive_time_limit(self):
         with pytest.raises(ValueError):
             tiny_config(time_limit_seconds=0.0)

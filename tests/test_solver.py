@@ -67,11 +67,22 @@ class TestSolverConfig:
             {"node_limit": -3},
             {"node_limit": 0},
             {"time_limit": float("nan")},
+            {"node_limit": 2.5},
+            {"node_limit": True},
+            {"node_limit": "5"},
+            {"seed": None},
+            {"seed": 1.5},
+            {"seed": False},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_integral_float_counts_become_ints(self):
+        cfg = SolverConfig(seed=3.0, node_limit=5.0)
+        assert (cfg.seed, cfg.node_limit) == (3, 5)
+        assert type(cfg.seed) is int and type(cfg.node_limit) is int
 
 
 class TestBruteForce:

@@ -130,7 +130,7 @@ def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
         assert report.feasible
         assert st.secured == rescan_secured(st) == report.objective
         assert st.nz == rescan_nz(st)
-        # the cached bound parts after greedy's place / unplace churn
+        # the cached bound parts after greedy's hold / take-back churn
         assert st.key_pair_caps() == rescan_key_pair_caps(st)
         assert st.vertex_budgets() == rescan_vertex_budgets(st)
         assert [c[1:] for c in st.edge_counts()] == rescan_edge_counts(st)
