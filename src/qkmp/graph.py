@@ -30,6 +30,13 @@ def as_count(value, what: str) -> int:
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
+def check_time_limit(value, what: str) -> None:
+    """The one rule for a time limit: an int or float above zero, infinity
+    included. A bool, a string, None or NaN raises ``ValueError``."""
+    if not (type(value) in (int, float) and value > 0):  # NaN compares false
+        raise ValueError(f"{what} must be a positive number of seconds, got {value!r}")
+
+
 def json_fields(data, what: str, *names: str) -> list:
     """The named fields of a JSON object; a non-object or a missing field
     raises ``ValueError``."""

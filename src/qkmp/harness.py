@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .graph import GraphError, as_count, generate_er
+from .graph import GraphError, as_count, check_time_limit, generate_er
 from .instance import KmpInstance
 from .solver import FEASIBLE_TIMEOUT, OPTIMAL, SolverConfig, solve_bb
 
@@ -51,8 +51,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, as_count(getattr(self, name), name))
         if self.instance_count < 1:
             raise ValueError("instance_count must be at least 1")
-        if not self.time_limit_seconds > 0:
-            raise ValueError("time_limit_seconds must be positive")
+        check_time_limit(self.time_limit_seconds, "time_limit_seconds")
 
     def build_instance(self, seed: int) -> KmpInstance:
         g = generate_er(self.n, self.d, seed)

@@ -6,15 +6,20 @@ pin y to the product exactly at binary points. The builder performs no
 presolve or reduction, so exported files can be audited row by row against
 the mathematical model.
 
-Every row and the objective keep their (position, coefficient) pairs in
-stable position order, without zeros, so a model's range check reads only the
-first and last position of each row. The public ``LinearRow`` constructor and
-both readers normalize every row they make; ``build_ilp`` makes its rows in
-that form already (see there).
+``IlpModel`` stores its rows as four columns (names, coefficient tuples,
+senses, rhs values); ``rows`` is a read-only view of them as ``LinearRow``s,
+made on first access and used by no code in this module. Every row and the
+objective keep their (position, coefficient) pairs in stable position order,
+without zeros, so a model's range check reads only the first and last
+position of each row. The public ``LinearRow`` constructor and both readers
+normalize every row they make; ``build_ilp`` makes its rows in that form
+already (see there). Variable and row names must be non-empty and
+whitespace-free, and a model name may neither span lines nor end in
+whitespace, so that both formats read every name back.
 
 Serialization targets two standard text formats: free-layout MPS and
-CPLEX-style LP. The matching readers accept the layout these writers produce,
-for any whitespace-free names, and raise ``IlpFormatError`` on anything else:
+CPLEX-style LP. The matching readers accept the layout these writers produce
+and raise ``IlpFormatError`` on anything else:
 
 - In both formats a section header is an unindented line that is exactly a
   section keyword: OBJSENSE, ROWS, COLUMNS, RHS, BOUNDS and ENDATA in MPS;
@@ -35,6 +40,7 @@ for any whitespace-free names, and raise ``IlpFormatError`` on anything else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -116,54 +122,77 @@ class LinearRow:
         object.__setattr__(self, "rhs", float(rhs))
 
 
-_SET_ROW_FIELDS = tuple(LinearRow.__dict__[f].__set__ for f in ("name", "coeffs", "sense", "rhs"))
+def _transposed(records: list) -> tuple:
+    # four-field records as four column tuples
+    return tuple(zip(*records)) or ((), (), (), ())
 
 
-def _checked_row(name: str, coeffs: tuple, sense: str, rhs: float) -> LinearRow:
-    """A LinearRow whose fields the caller has checked: coeffs normalized,
-    sense valid, rhs a float."""
-    row = object.__new__(LinearRow)
-    set_name, set_coeffs, set_sense, set_rhs = _SET_ROW_FIELDS
-    set_name(row, name)
-    set_coeffs(row, coeffs)
-    set_sense(row, sense)
-    set_rhs(row, rhs)
-    return row
+def _check_names(names: tuple[str, ...], what: str) -> None:
+    # str.split drops exactly the whitespace, so it drops nothing from the
+    # joined names when they are whitespace-free; only a refusal looks further
+    joined = "".join(names)
+    if not all(names) or sum(map(len, joined.split())) != len(joined):
+        bad = next(s for s in names if s.split() != [s])
+        raise ValueError(f"{what} name {bad!r} is empty or contains whitespace")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IlpModel:
-    """Pure-binary maximization model with named variables and rows."""
+    """Pure-binary maximization model with named variables and rows, kept as
+    the columns ``row_*``; ``rows`` shows them as ``LinearRow``s."""
 
     name: str
     variables: tuple[str, ...]
     objective: tuple[tuple[int, float], ...]
-    rows: tuple[LinearRow, ...]
-    var_index: dict = field(init=False, repr=False, compare=False)
+    row_names: tuple[str, ...]
+    row_coeffs: tuple[tuple[tuple[int, float], ...], ...]
+    row_senses: tuple[str, ...]
+    row_rhs: tuple[float, ...]
+    var_index: dict = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        variables = tuple(self.variables)
-        object.__setattr__(self, "variables", variables)
-        index = {name: pos for pos, name in enumerate(variables)}
+    def __init__(
+        self, name: str, variables: Iterable[str], objective: Iterable, rows: Iterable[LinearRow]
+    ) -> None:
+        rows = [(row.name, row.coeffs, row.sense, row.rhs) for row in rows]
+        self._fill(name, variables, objective, *_transposed(rows))
+
+    @classmethod
+    def _of_columns(cls, *columns) -> IlpModel:
+        """``__init__`` for row columns of normalized coefficients, senses and float rhs."""
+        model = object.__new__(cls)
+        model._fill(*columns)
+        return model
+
+    def _fill(self, name, variables, objective, names, coeffs, senses, rhs) -> None:
+        variables, names, coeffs, senses, rhs = map(tuple, (variables, names, coeffs, senses, rhs))
+        index = {v: pos for pos, v in enumerate(variables)}
         if len(index) != len(variables):
             raise ValueError("variable names must be unique")
-        object.__setattr__(self, "var_index", index)
-        obj = _normalized(self.objective)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", tuple(self.rows))
-        names = {OBJ_ROW_NAME}
-        for row in self.rows:
-            if row.name in names:
-                raise ValueError(f"duplicate row name {row.name!r}")
-            names.add(row.name)
+        if name.rstrip() != name or len(name.splitlines()) > 1:
+            raise ValueError(f"model name {name!r} spans lines or ends in whitespace")
+        _check_names(variables, "variable")
+        _check_names(names, "row")
+        unique = set(names)
+        if len(unique) != len(names) or OBJ_ROW_NAME in unique:
+            seen: set[str] = set()
+            twice = next(n for n in (OBJ_ROW_NAME, *names) if n in seen or seen.add(n))
+            raise ValueError(f"duplicate row name {twice!r}")
         # pairs are position-sorted, so the ends bound every position
+        obj = _normalized(objective)
         nvar = len(variables)
         if obj and not (obj[0][0] >= 0 and obj[-1][0] < nvar):
             raise ValueError("objective references unknown variable")
-        for row in self.rows:
-            coeffs = row.coeffs
-            if coeffs and not (coeffs[0][0] >= 0 and coeffs[-1][0] < nvar):
-                raise ValueError(f"row {row.name} references unknown variable")
+        for row_name, c in zip(names, coeffs):
+            if c and not (c[0][0] >= 0 and c[-1][0] < nvar):
+                raise ValueError(f"row {row_name} references unknown variable")
+        values = (name, variables, obj, names, coeffs, senses, rhs, index)
+        for f, value in zip(self.__dataclass_fields__, values):
+            object.__setattr__(self, f, value)
+
+    @cached_property
+    def rows(self) -> tuple[LinearRow, ...]:
+        """The rows as LinearRows, made on first access."""
+        return tuple(map(LinearRow, self.row_names, self.row_coeffs, self.row_senses, self.row_rhs))
 
     @property
     def num_variables(self) -> int:
@@ -171,7 +200,7 @@ class IlpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     def objective_value(self, point: Sequence[int]) -> float:
         return sum(c * point[pos] for pos, c in self.objective)
@@ -180,14 +209,10 @@ class IlpModel:
         """Exact feasibility of a 0/1 point; float rhs compared as-is."""
         if len(point) != len(self.variables):
             raise ValueError("point length does not match variable count")
-        for row in self.rows:
-            lhs = sum(c * point[pos] for pos, c in row.coeffs)
-            if row.sense == SENSE_LE:
-                if lhs > row.rhs:
-                    return False
-            else:
-                if lhs < row.rhs:
-                    return False
+        for coeffs, sense, rhs in zip(self.row_coeffs, self.row_senses, self.row_rhs):
+            lhs = sum(c * point[pos] for pos, c in coeffs)
+            if lhs > rhs if sense == SENSE_LE else lhs < rhs:
+                return False
         return True
 
 
@@ -235,36 +260,34 @@ def build_ilp(inst: KmpInstance) -> IlpModel:
     # x_ik < x_jk < any z or y and gives each vertex ascending neighbor edges,
     # and on KmpInstance refusing weights <= 0, so no coefficient is zero.
     mem = [float(m) for m in inst.mem_per_key]
-    rows: list[LinearRow] = []
-    for i in range(n):
-        coeffs = tuple([(i * K + k, mem[k]) for k in range(K)])
-        rows.append(_checked_row(f"cap_{i}", coeffs, SENSE_LE, float(inst.capacity[i])))
-    for e, (i, j) in enumerate(edges):
-        coeffs = ((zbase + e, link_z), *y_plus[e * K : e * K + K])
-        rows.append(_checked_row(f"link_{i}_{j}", coeffs, SENSE_GE, 0.0))
+    row_names = [f"cap_{i}" for i in range(n)]
+    coeffs = [tuple([(i * K + k, mem[k]) for k in range(K)]) for i in range(n)]
+    row_names += [f"link_{i}_{j}" for i, j in edges]
+    coeffs += [((zbase + e, link_z), *y_plus[e * K : e * K + K]) for e in range(len(edges))]
     # the y block of each neighbor's edge, in ascending neighbor order
     edge_id = {edge: e for e, edge in enumerate(edges)}
     for i in range(n):
-        rhs = float(inst.neighborhood_cap(i))
         blocks = [edge_id[(i, j) if i < j else (j, i)] * K for j in sorted(g.adjacency[i])]
-        for k in range(K):
-            coeffs = tuple([y_plus[b + k] for b in blocks])
-            rows.append(_checked_row(f"nbr_{i}_{k}", coeffs, SENSE_LE, rhs))
+        row_names += [f"nbr_{i}_{k}" for k in range(K)]
+        coeffs += [tuple([y_plus[b + k] for b in blocks]) for k in range(K)]
     for e, (i, j) in enumerate(edges):
         for k in range(K):
             xi, xj, y = x_minus[i * K + k], x_minus[j * K + k], y_plus[e * K + k]
             tag = tags[e * K + k]
-            rows.append(_checked_row("yu1_" + tag, (xi, y), SENSE_LE, 0.0))
-            rows.append(_checked_row("yu2_" + tag, (xj, y), SENSE_LE, 0.0))
-            rows.append(_checked_row("ylo_" + tag, (xi, xj, y), SENSE_GE, -1.0))
-    for k in range(K):
-        coeffs = tuple([(i * K + k, 1.0) for i in range(n)])
-        rows.append(_checked_row(f"use_{k}", coeffs, SENSE_LE, float(inst.usage_limit[k])))
+            row_names += ("yu1_" + tag, "yu2_" + tag, "ylo_" + tag)
+            coeffs += ((xi, y), (xj, y), (xi, xj, y))
+    row_names += [f"use_{k}" for k in range(K)]
+    coeffs += [tuple([(i * K + k, 1.0) for i in range(n)]) for k in range(K)]
+    # the sense and rhs of each row, family by family in the same order
+    senses = [SENSE_LE] * n + [SENSE_GE] * len(edges) + [SENSE_LE] * (n * K)
+    senses += [SENSE_LE, SENSE_LE, SENSE_GE] * len(tags) + [SENSE_LE] * K
+    rhs = [float(c) for c in inst.capacity] + [0.0] * len(edges)
+    rhs += [r for i in range(n) for r in [float(inst.neighborhood_cap(i))] * K]
+    rhs += [0.0, 0.0, -1.0] * len(tags) + [float(u) for u in inst.usage_limit]
 
-    objective = tuple((zbase + e, 1.0) for e in range(len(edges)))
-    return IlpModel(
-        name=f"kmp_n{n}_k{K}", variables=tuple(names), objective=objective, rows=rows
-    )
+    objective = tuple([(zbase + e, 1.0) for e in range(len(edges))])
+    name = f"kmp_n{n}_k{K}"
+    return IlpModel._of_columns(name, names, objective, row_names, coeffs, senses, rhs)
 
 
 # --- reading back ---
@@ -277,14 +300,14 @@ def _number(token: str) -> float:
         raise IlpFormatError(f"bad number {token!r}") from None
 
 
-def _assemble(name: str, declared: list, columns: dict, objective: list, rows: list) -> IlpModel:
+def _assemble(name, declared, columns, objective, names, senses, rhs, entries) -> IlpModel:
     """The model a reader parsed, checked the same way for both formats.
 
     ``declared`` lists the binary variables in file order, which is the
     model's variable order. ``columns`` gives each variable that the
-    objective or a row uses a provisional id, in first-seen order. The
-    objective and the entries of each (name, sense, rhs, entries) in ``rows``
-    are (id, value) pairs.
+    objective or a row uses a provisional id, in first-seen order. The rows
+    come as the columns ``names``, ``senses``, ``rhs`` and ``entries``. The
+    objective and each row's entries are lists of (id, value) pairs.
     """
     position = {v: pos for pos, v in enumerate(declared)}
     if len(position) != len(declared):
@@ -296,15 +319,11 @@ def _assemble(name: str, declared: list, columns: dict, objective: list, rows: l
             raise IlpFormatError(f"column {col!r} has no BV bound or Binary entry")
         pos_of.append(position[col])
     if pos_of != list(range(len(pos_of))):
-        for entries in [objective] + [row[3] for row in rows]:
-            entries[:] = [(pos_of[i], v) for i, v in entries]
+        objective = [(pos_of[i], v) for i, v in objective]
+        entries = [[(pos_of[i], v) for i, v in pairs] for pairs in entries]
+    coeffs = [_normalized(tuple(pairs)) for pairs in entries]
     try:
-        return IlpModel(
-            name,
-            tuple(declared),
-            tuple(objective),
-            tuple([LinearRow(n, tuple(e), sense, rhs) for n, sense, rhs, e in rows]),
-        )
+        return IlpModel._of_columns(name, declared, tuple(objective), names, coeffs, senses, rhs)
     except ValueError as exc:  # such as a duplicate row name
         raise IlpFormatError(str(exc)) from exc
 
@@ -324,12 +343,11 @@ def write_mps(m: IlpModel) -> str:
     cols: list[list[str]] = [[] for _ in m.variables]
     for pos, c in m.objective:
         cols[pos].append(OBJ_ROW_NAME + coef[c])
-    for row in m.rows:
-        name = row.name
-        for pos, c in row.coeffs:
+    for name, coeffs in zip(m.row_names, m.row_coeffs):
+        for pos, c in coeffs:
             cols[pos].append(name + coef[c])
     lines = [f"NAME {m.name}".rstrip(), "OBJSENSE", " MAX", "ROWS", f" N {OBJ_ROW_NAME}"]
-    lines += [f" {_SENSE_TO_MPS[row.sense]} {row.name}" for row in m.rows]
+    lines += [f" {_SENSE_TO_MPS[sense]} {name}" for name, sense in zip(m.row_names, m.row_senses)]
     lines.append("COLUMNS")
     # one join per column writes all of its lines
     lines += [
@@ -339,7 +357,7 @@ def write_mps(m: IlpModel) -> str:
     ]
     lines.append("RHS")
     rhs = _Table(_fmt)  # a zero rhs is a float already, so repr is _fmt
-    lines += [f" RHS {row.name} {rhs[r] if (r := row.rhs) else repr(r)}" for row in m.rows]
+    lines += [f" RHS {name} {rhs[r] if r else repr(r)}" for name, r in zip(m.row_names, m.row_rhs)]
     lines.append("BOUNDS")
     lines += [f" BV BND {name}" for name in m.variables]
     lines.append("ENDATA")
@@ -354,8 +372,9 @@ def read_mps(text: str) -> IlpModel:
     maximize = has_objective = False
     columns: dict[str, int] = {}
     objective: list[tuple[int, float]] = []
-    rows: list[list] = []  # [name, sense, rhs, entries] per constraint
-    row_of = {OBJ_ROW_NAME: [OBJ_ROW_NAME, None, 0.0, objective]}
+    # name, sense, rhs and entries of each row, the objective's at index 0
+    names, senses, rhs, entries = [OBJ_ROW_NAME], [None], [0.0], [objective]
+    row_of = {OBJ_ROW_NAME: 0}  # row name -> index into those four lists
     declared: list[str] = []
     value = _Table(_number)  # each distinct value token parsed once
     for raw in text.splitlines():
@@ -375,22 +394,25 @@ def read_mps(text: str) -> IlpModel:
         if len(tokens) != fields:
             raise IlpFormatError(f"odd {section} entry: {raw!r}")
         if section == "COLUMNS" or section == "RHS":
-            record = row_of.get(tokens[1])
-            if record is None:
+            at = row_of.get(tokens[1])
+            if at is None:
                 raise IlpFormatError(f"{section} entry for undeclared row {tokens[1]!r}")
             if section == "COLUMNS":
-                record[3].append((columns.setdefault(tokens[0], len(columns)), value[tokens[2]]))
-            elif record[3] is objective:  # a model holds no objective constant
+                entries[at].append((columns.setdefault(tokens[0], len(columns)), value[tokens[2]]))
+            elif not at:  # a model holds no objective constant
                 raise IlpFormatError(f"RHS entry for the objective row: {raw!r}")
             else:
-                record[2] = value[tokens[2]]
+                rhs[at] = value[tokens[2]]
         elif section == "ROWS":
             kind, row = tokens
             if kind == "N":
                 has_objective = True
             elif kind in _MPS_TO_SENSE:
-                record = row_of[row] = [row, _MPS_TO_SENSE[kind], 0.0, []]
-                rows.append(record)
+                row_of[row] = len(names)
+                names.append(row)
+                senses.append(_MPS_TO_SENSE[kind])
+                rhs.append(0.0)
+                entries.append([])
             else:
                 raise IlpFormatError(f"unsupported row type {kind!r}")
         elif section == "BOUNDS":
@@ -405,7 +427,8 @@ def read_mps(text: str) -> IlpModel:
         raise IlpFormatError("no objective row declared")
     if not maximize:
         raise IlpFormatError("only maximization models are supported")
-    return _assemble(name, declared, columns, objective, rows)
+    rows = names[1:], senses[1:], rhs[1:], entries[1:]
+    return _assemble(name, declared, columns, objective, *rows)
 
 
 # --- CPLEX-style LP ---
@@ -439,13 +462,13 @@ def write_lp(m: IlpModel) -> str:
     obj_terms = _lp_terms(names, m.objective, term)
     lines.append(f"{OBJ_ROW_NAME}:" + (f" {obj_terms}" if obj_terms else ""))
     lines.append("Subject To")
-    for row in m.rows:
-        terms = _lp_terms(names, row.coeffs, term)
+    for row_name, coeffs, sense, r in zip(m.row_names, m.row_coeffs, m.row_senses, m.row_rhs):
+        terms = _lp_terms(names, coeffs, term)
         if not terms:
             # LP syntax has no empty sum; a zero times any variable stands in
             # for it and is dropped again on read
             terms = f"0.0 {m.variables[0]}" if m.variables else "0.0 none"
-        lines.append(f"{row.name}: {terms} {row.sense} {rhs[r] if (r := row.rhs) else repr(r)}")
+        lines.append(f"{row_name}: {terms} {sense} {rhs[r] if r else repr(r)}")
     if m.variables:
         lines.append("Binary")
         for v in m.variables:
@@ -503,4 +526,4 @@ def read_lp(text: str) -> IlpModel:
         raise IlpFormatError("text does not end with End")
     if objective is None:
         raise IlpFormatError("no objective line under Maximize")
-    return _assemble(name, declared, columns, objective, rows)
+    return _assemble(name, declared, columns, objective, *_transposed(rows))

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 
-from .graph import as_count
+from .graph import as_count, check_time_limit
 from .instance import KeyAssignment, KmpInstance, evaluate
 
 OPTIMAL = "OPTIMAL"
@@ -66,8 +66,7 @@ class SolverConfig:
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.time_limit > 0:  # NaN compares false, so it fails too
-            raise ValueError("time_limit must be positive")
+        check_time_limit(self.time_limit, "time_limit")
         object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         if self.node_limit is not None:
             object.__setattr__(self, "node_limit", as_count(self.node_limit, "node_limit"))

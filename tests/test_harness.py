@@ -146,6 +146,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(time_limit_seconds=float("nan"))
 
+    @pytest.mark.parametrize("limit", [True, "5", None, float("nan"), 0, -1.0])
+    def test_time_limit_must_be_a_positive_number(self, limit):
+        with pytest.raises(ValueError, match="time_limit_seconds must be a positive number"):
+            dataclasses.replace(tiny_config(), time_limit_seconds=limit)
+
+    def test_infinite_time_limit_is_allowed(self):
+        assert tiny_config(time_limit_seconds=float("inf")).time_limit_seconds == float("inf")
+
     def test_build_instance_is_deterministic(self):
         cfg = tiny_config()
         assert cfg.build_instance(907) == cfg.build_instance(907)

@@ -292,6 +292,43 @@ class TestNamesRoundTrip:
         rows = (LinearRow("cap:0", ((0, 1.0),), SENSE_LE, 1.0),)
         assert_round_trips(IlpModel("m", ("a",), ((0, 1.0),), rows))
 
+    def test_model_name_with_leading_and_inner_whitespace(self):
+        assert_round_trips(IlpModel(" my\tmodel", ("a",), ((0, 1.0),), ()))
+
+
+class TestNameRules:
+    """Names that a writer would put into text its reader refuses or reads
+    back changed are refused when the model is made."""
+
+    @pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\u00a0b", "a\n"])
+    def test_variable_name_must_be_whitespace_free(self, name):
+        with pytest.raises(ValueError, match="variable name .* is empty or contains whitespace"):
+            IlpModel("m", ("x", name), (), ())
+
+    @pytest.mark.parametrize("name", ["r 1", "", "r\x1c1"])
+    def test_row_name_must_be_whitespace_free(self, name):
+        rows = (LinearRow("r0", (), SENSE_LE, 0.0), LinearRow(name, (), SENSE_LE, 0.0))
+        with pytest.raises(ValueError, match="row name .* is empty or contains whitespace"):
+            IlpModel("m", ("a",), (), rows)
+
+    @pytest.mark.parametrize("name", ["m ", "m\n", "my\nmodel", "m\u2028x", "m\t"])
+    def test_model_name_must_be_one_line_without_trailing_whitespace(self, name):
+        with pytest.raises(ValueError, match="spans lines or ends in whitespace"):
+            IlpModel(name, ("a",), (), ())
+
+    @pytest.mark.parametrize(
+        "reader,text",
+        [
+            (read_mps, write_mps(ONE_VAR).replace("NAME one", "NAME one ")),
+            (read_lp, write_lp(ONE_VAR).replace("\nr1:", "\n:")),
+            (read_lp, write_lp(ONE_VAR).replace("Binary\n x", "Binary\n x\n ")),
+        ],
+        ids=["mps-trailing-space", "lp-empty-row", "lp-empty-variable"],
+    )
+    def test_readers_refuse_the_same_names(self, reader, text):
+        with pytest.raises(IlpFormatError, match="whitespace"):
+            reader(text)
+
 
 # whitespace-free names, among them the words and characters the LP and MPS
 # grammars use

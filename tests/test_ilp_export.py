@@ -7,6 +7,7 @@ changes must leave every byte of the MPS and LP text alone.
 """
 
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -122,6 +123,25 @@ def test_every_built_row_is_already_normalized(make):
         assert row == LinearRow(row.name, list(row.coeffs), row.sense, row.rhs), row.name
         assert all(type(p) is int and type(c) is float for p, c in row.coeffs), row.name
         assert type(row.rhs) is float, row.name
+
+
+@pytest.mark.parametrize(
+    "make", ROW_CASES, ids=[p[0] for p in EXPORT_PINS] + list(HAND_BUILT)
+)
+def test_row_columns_and_rows_view_agree(make):
+    model = build_ilp(make())
+    columns = zip(model.row_names, model.row_coeffs, model.row_senses, model.row_rhs)
+    assert model.rows == tuple(LinearRow(*entry) for entry in columns)
+    assert IlpModel(model.name, model.variables, model.objective, model.rows) == model
+    with pytest.raises(FrozenInstanceError):
+        model.rows = ()
+
+
+def test_round_trips_never_make_the_rows_view():
+    model = build_ilp(get_config("q1-9").build_instance(10900))
+    backs = [read_mps(write_mps(model)), read_lp(write_lp(model))]
+    assert backs == [model, model]
+    assert all("rows" not in vars(m) for m in [model, *backs])
 
 
 # one coefficient leads one row and follows in another, one leads and follows

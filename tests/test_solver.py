@@ -84,6 +84,14 @@ class TestSolverConfig:
         assert (cfg.seed, cfg.node_limit) == (3, 5)
         assert type(cfg.seed) is int and type(cfg.node_limit) is int
 
+    @pytest.mark.parametrize("limit", [True, "5", None, float("nan"), 0, -1.0, float("-inf")])
+    def test_time_limit_must_be_a_positive_number(self, limit):
+        with pytest.raises(ValueError, match="time_limit must be a positive number of seconds"):
+            SolverConfig(time_limit=limit)
+
+    def test_infinite_time_limit_is_allowed(self):
+        assert SolverConfig(time_limit=float("inf")).time_limit == float("inf")
+
 
 class TestBruteForce:
     def test_path_optimum(self):
