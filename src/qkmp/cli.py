@@ -55,9 +55,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = KmpInstance.from_json_dict(_read_json(args.instance))
-    cfg = solver.SolverConfig(
-        time_limit=args.time_limit, seed=args.seed, node_limit=args.node_limit
-    )
+    cfg = solver.SolverConfig(time_limit=args.time_limit, node_limit=args.node_limit)
     result = solver.solve_bb(inst, cfg)
     _write_text(args.out, _dump_json(result.to_json_dict()))
     return 0 if result.status != solver.ERROR else 1
@@ -161,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance JSON exactly")
     p.add_argument("instance", help="instance JSON path, or - for stdin")
     p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)

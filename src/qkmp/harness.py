@@ -120,15 +120,13 @@ def _error_row(seed: int, note: str) -> InstanceRow:
 
 
 def run_single(cfg: ExperimentConfig, index: int) -> InstanceRow:
-    """Generate and solve instance ``index`` of a configuration."""
+    """Generate instance ``index`` of a configuration and solve it as the library does."""
     seed = cfg.base_seed + index
     try:
         inst = cfg.build_instance(seed)
     except GraphError as exc:
         return _error_row(seed, str(exc))
-    result = solve_bb(
-        inst, SolverConfig(time_limit=cfg.time_limit_seconds, seed=seed)
-    )
+    result = solve_bb(inst, SolverConfig(time_limit=cfg.time_limit_seconds))
     return InstanceRow(
         seed=seed,
         status=result.status,

@@ -13,9 +13,9 @@ objective keep their (position, coefficient) pairs in stable position order,
 without zeros, so a model's range check reads only the first and last
 position of each row. The public ``LinearRow`` constructor and both readers
 normalize every row they make; ``build_ilp`` makes its rows in that form
-already (see there). Variable and row names must be non-empty and
-whitespace-free, and a model name may neither span lines nor end in
-whitespace, so that both formats read every name back.
+already (see there). Variable and row names must be non-empty strings
+without whitespace, and a model name a string that neither spans lines nor
+ends in whitespace, so that both formats read every name back.
 
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers accept the layout these writers produce
@@ -130,10 +130,13 @@ def _transposed(records: list) -> tuple:
 def _check_names(names: tuple[str, ...], what: str) -> None:
     # str.split drops exactly the whitespace, so it drops nothing from the
     # joined names when they are whitespace-free; only a refusal looks further
-    joined = "".join(names)
+    try:
+        joined = "".join(names)
+    except TypeError:  # a name that is not a string, refused below
+        joined = " "
     if not all(names) or sum(map(len, joined.split())) != len(joined):
-        bad = next(s for s in names if s.split() != [s])
-        raise ValueError(f"{what} name {bad!r} is empty or contains whitespace")
+        bad = next(s for s in names if not isinstance(s, str) or s.split() != [s])
+        raise ValueError(f"{what} name {bad!r} is not text, is empty or contains whitespace")
 
 
 @dataclass(frozen=True, init=False)
@@ -168,8 +171,8 @@ class IlpModel:
         index = {v: pos for pos, v in enumerate(variables)}
         if len(index) != len(variables):
             raise ValueError("variable names must be unique")
-        if name.rstrip() != name or len(name.splitlines()) > 1:
-            raise ValueError(f"model name {name!r} spans lines or ends in whitespace")
+        if not isinstance(name, str) or name.rstrip() != name or len(name.splitlines()) > 1:
+            raise ValueError(f"model name {name!r} is not text, spans lines or ends in whitespace")
         _check_names(variables, "variable")
         _check_names(names, "row")
         unique = set(names)

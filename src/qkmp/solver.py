@@ -61,13 +61,13 @@ class InstanceTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The limits of one ``solve_bb`` run, the only inputs besides the instance."""
+
     time_limit: float = 3600.0
-    seed: int = 0
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
         check_time_limit(self.time_limit, "time_limit")
-        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         if self.node_limit is not None:
             object.__setattr__(self, "node_limit", as_count(self.node_limit, "node_limit"))
             if self.node_limit < 1:
@@ -644,8 +644,9 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
 
     Edges are visited hubs-first; each edge greedily acquires up to q shared
     keys, preferring keys already held by one endpoint and breaking usage
-    ties with the seeded generator. Every committed move is feasible, so the
-    result always validates.
+    ties with a generator seeded by ``seed``; ``solve_bb`` keeps the best of
+    seeds 0 .. GREEDY_RESTARTS - 1. Every move is feasible, so the result
+    validates.
     """
     st = _State(inst)
     g = inst.graph
@@ -729,7 +730,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         # the time limit covers the warm start, but at least one restart runs
         if restart and time.perf_counter() - start > cfg.time_limit:
             break
-        warm = greedy_heuristic(inst, cfg.seed + restart)
+        warm = greedy_heuristic(inst, restart)
         report = evaluate(inst, warm)
         # an infeasible warm start must never become the incumbent
         if report.feasible and report.objective > best_obj:

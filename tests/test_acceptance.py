@@ -56,9 +56,9 @@ def verdict(label, cap):
             sys.stdout.flush()
 
 
-def solve_json(inst, seed):
+def solve_json(inst):
     """Canonical bytes for one solve, wall time stripped."""
-    out = solve_bb(inst, SolverConfig(time_limit=300.0, seed=seed)).to_json_dict()
+    out = solve_bb(inst, SolverConfig(time_limit=300.0)).to_json_dict()
     del out["wall_time"]
     return json.dumps(out, sort_keys=True)
 
@@ -70,10 +70,7 @@ def oracle_battery():
 
 def desk_battery():
     cfg = desk_scale(get_config("q1-1"))
-    return [
-        (cfg.base_seed + i, cfg.build_instance(cfg.base_seed + i))
-        for i in range(cfg.instance_count)
-    ]
+    return [cfg.build_instance(cfg.base_seed + i) for i in range(cfg.instance_count)]
 
 
 def test_exact_solver_matches_exhaustive_oracle(capfd):
@@ -136,8 +133,8 @@ def test_naive_baseline_prices_a_20_node_network(capfd):
 
 def test_smallest_protocol_row_solves_at_desk_scale(capfd):
     with verdict("desk-scale-config-1", capfd):
-        for seed, inst in desk_battery():
-            r = solve_bb(inst, SolverConfig(time_limit=300.0, seed=seed))
+        for inst in desk_battery():
+            r = solve_bb(inst, SolverConfig(time_limit=300.0))
             assert r.status == OPTIMAL
             assert r.wall_time < 300.0
             report = evaluate(inst, r.incumbent)
@@ -149,12 +146,12 @@ def test_smallest_protocol_row_solves_at_desk_scale(capfd):
 def test_identical_seeds_reproduce_identical_results(capfd):
     with verdict("determinism", capfd):
         # the exhaustive-oracle battery, solved twice from scratch
-        first = [solve_json(inst, seed=0) for inst in oracle_battery()]
-        second = [solve_json(inst, seed=0) for inst in oracle_battery()]
+        first = [solve_json(inst) for inst in oracle_battery()]
+        second = [solve_json(inst) for inst in oracle_battery()]
         assert first == second
         # the desk-scale battery, regenerated and solved twice from scratch
-        desk_a = [solve_json(inst, seed) for seed, inst in desk_battery()]
-        desk_b = [solve_json(inst, seed) for seed, inst in desk_battery()]
+        desk_a = [solve_json(inst) for inst in desk_battery()]
+        desk_b = [solve_json(inst) for inst in desk_battery()]
         assert desk_a == desk_b
 
 

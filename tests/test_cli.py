@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import qkmp
-from qkmp import ilp
+from qkmp import ilp, solver
 from qkmp.cli import main
+from qkmp.harness import get_config, run_single
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 from qkmp.solver import solve_bb, SolverConfig
 
@@ -102,6 +103,37 @@ class TestSolve:
         path = gen_instance_file(tmp_path)
         assert main(["solve", str(path), "--time-limit", "nan"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        path = gen_instance_file(tmp_path)
+        assert main(["solve", str(path), "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_every_entry_point_draws_the_same_warm_starts(tmp_path, capsys, monkeypatch):
+    # q1-3/10300: no greedy run meets the root bound, so all restarts run
+    cfg = get_config("q1-3")
+    inst = cfg.build_instance(cfg.base_seed)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst.to_json_dict()))
+    real = solver.greedy_heuristic
+    seeds = []
+
+    def recording_greedy(inst, seed):
+        seeds.append(seed)
+        return real(inst, seed)
+
+    monkeypatch.setattr(solver, "greedy_heuristic", recording_greedy)
+    row = run_single(cfg, 0)
+    from_bench, seeds[:] = seeds[:], []
+    result = solve_bb(inst)
+    from_library, seeds[:] = seeds[:], []
+    assert main(["solve", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert from_bench == from_library == seeds == list(range(solver.GREEDY_RESTARTS))
+    assert (row.status, row.objective, row.bound) == (
+        result.status, result.lower_bound, result.upper_bound
+    ) == (out["status"], out["objective"], out["bound"])
 
 
 TRIANGLE_JSON = {

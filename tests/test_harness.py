@@ -228,9 +228,10 @@ class TestRunExperiment:
     def test_serial_exception_becomes_error_row(self, monkeypatch):
         # the same failure a pool turns into an ERROR row, without a pool
         solve = harness.solve_bb
+        doomed = tiny_config().build_instance(901)
 
         def failing_solve(inst, cfg):
-            if cfg.seed == 901:
+            if inst == doomed:
                 raise RuntimeError("boom at seed 901")
             return solve(inst, cfg)
 

@@ -300,18 +300,18 @@ class TestNameRules:
     """Names that a writer would put into text its reader refuses or reads
     back changed are refused when the model is made."""
 
-    @pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\u00a0b", "a\n"])
+    @pytest.mark.parametrize("name", ["a b", "", "a\tb", "a\u00a0b", "a\n", 3])
     def test_variable_name_must_be_whitespace_free(self, name):
         with pytest.raises(ValueError, match="variable name .* is empty or contains whitespace"):
             IlpModel("m", ("x", name), (), ())
 
-    @pytest.mark.parametrize("name", ["r 1", "", "r\x1c1"])
+    @pytest.mark.parametrize("name", ["r 1", "", "r\x1c1", 3])
     def test_row_name_must_be_whitespace_free(self, name):
         rows = (LinearRow("r0", (), SENSE_LE, 0.0), LinearRow(name, (), SENSE_LE, 0.0))
         with pytest.raises(ValueError, match="row name .* is empty or contains whitespace"):
             IlpModel("m", ("a",), (), rows)
 
-    @pytest.mark.parametrize("name", ["m ", "m\n", "my\nmodel", "m\u2028x", "m\t"])
+    @pytest.mark.parametrize("name", ["m ", "m\n", "my\nmodel", "m\u2028x", "m\t", None, 3])
     def test_model_name_must_be_one_line_without_trailing_whitespace(self, name):
         with pytest.raises(ValueError, match="spans lines or ends in whitespace"):
             IlpModel(name, ("a",), (), ())

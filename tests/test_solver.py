@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from types import SimpleNamespace
@@ -70,9 +71,6 @@ class TestSolverConfig:
             {"node_limit": 2.5},
             {"node_limit": True},
             {"node_limit": "5"},
-            {"seed": None},
-            {"seed": 1.5},
-            {"seed": False},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -80,9 +78,14 @@ class TestSolverConfig:
             SolverConfig(**kwargs)
 
     def test_integral_float_counts_become_ints(self):
-        cfg = SolverConfig(seed=3.0, node_limit=5.0)
-        assert (cfg.seed, cfg.node_limit) == (3, 5)
-        assert type(cfg.seed) is int and type(cfg.node_limit) is int
+        cfg = SolverConfig(node_limit=5.0)
+        assert cfg.node_limit == 5 and type(cfg.node_limit) is int
+
+    def test_limits_are_the_only_fields(self):
+        # the warm start draws the same greedy seeds on every run
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["time_limit", "node_limit"]
+        with pytest.raises(TypeError):
+            SolverConfig(seed=0)
 
     @pytest.mark.parametrize("limit", [True, "5", None, float("nan"), 0, -1.0, float("-inf")])
     def test_time_limit_must_be_a_positive_number(self, limit):
@@ -366,7 +369,7 @@ class TestSolveBb:
         rng = random.Random(77)
         for _ in range(10):
             inst = random_small_instance(rng)
-            cfg = SolverConfig(time_limit=30, seed=3)
+            cfg = SolverConfig(time_limit=30)
             a = solve_bb(inst, cfg).to_json_dict()
             b = solve_bb(inst, cfg).to_json_dict()
             del a["wall_time"], b["wall_time"]
