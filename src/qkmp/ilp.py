@@ -303,16 +303,21 @@ def _number(token: str) -> float:
         raise IlpFormatError(f"bad number {token!r}") from None
 
 
-def _assemble(name, declared, columns, objective, names, senses, rhs, entries) -> IlpModel:
+def _assemble(
+    name, declared, position, columns, objective, names, senses, rhs, entries
+) -> IlpModel:
     """The model a reader parsed, checked the same way for both formats.
 
     ``declared`` lists the binary variables in file order, which is the
-    model's variable order. ``columns`` gives each variable that the
-    objective or a row uses a provisional id, in first-seen order. The rows
-    come as the columns ``names``, ``senses``, ``rhs`` and ``entries``. The
-    objective and each row's entries are lists of (id, value) pairs.
+    model's variable order, and ``position`` maps each of them to its place
+    there. The objective and each row's entries are lists of (id, value)
+    pairs. An id is a position in ``declared``, except for the variables in
+    ``columns``, which maps them to their ids: MPS gives every variable that
+    the objective or a row uses a provisional id in first-seen order, while
+    LP looks its names up in ``position`` and lists only those it missed.
+    The rows come as the columns ``names``, ``senses``, ``rhs`` and
+    ``entries``.
     """
-    position = {v: pos for pos, v in enumerate(declared)}
     if len(position) != len(declared):
         twice = next(v for pos, v in enumerate(declared) if position[v] != pos)
         raise IlpFormatError(f"duplicate variable {twice!r}")
@@ -431,7 +436,8 @@ def read_mps(text: str) -> IlpModel:
     if not maximize:
         raise IlpFormatError("only maximization models are supported")
     rows = names[1:], senses[1:], rhs[1:], entries[1:]
-    return _assemble(name, declared, columns, objective, *rows)
+    position = {v: pos for pos, v in enumerate(declared)}
+    return _assemble(name, declared, position, columns, objective, *rows)
 
 
 # --- CPLEX-style LP ---
@@ -483,15 +489,45 @@ def write_lp(m: IlpModel) -> str:
 _LP_SECTIONS = ("Maximize", "Subject To", "Binary", "End")
 
 
+def _index(lines: list[str], line: str, start: int) -> int:
+    # where line first occurs in lines from start on, or len(lines)
+    try:
+        return lines.index(line, start)
+    except ValueError:
+        return len(lines)
+
+
+def _lp_binaries(lines: list[str]) -> list[str]:
+    """The names that the Binary sections of LP lines declare, in order.
+
+    A section runs from its header line to the next header line. Lines
+    there that do not start with a space declare nothing; read_lp refuses
+    them in line order.
+    """
+    declared: list[str] = []
+    at = _index(lines, "Binary", 0)
+    while at < len(lines):
+        end = min(_index(lines, header, at + 1) for header in _LP_SECTIONS)
+        declared += [raw[1:] for raw in lines[at + 1 : end] if raw[:1] == " "]
+        at = _index(lines, "Binary", end)
+    return declared
+
+
 def read_lp(text: str) -> IlpModel:
-    """Parse LP text in the layout of write_lp back into an equal model."""
+    """Parse LP text in the layout of write_lp back into an equal model.
+
+    The Binary names are read ahead of the rows, although they come last, so
+    that every entry gets its variable position in one lookup.
+    """
     name = section = ""
-    columns: dict[str, int] = {}
+    lines = text.splitlines()
+    declared = _lp_binaries(lines)
+    position = {v: pos for pos, v in enumerate(declared)}
+    missed: dict[str, int] = {}  # names used but not declared, in first-seen order
     objective: list[tuple[int, float]] | None = None
     rows: list[tuple] = []
-    declared: list[str] = []
     value = _Table(_number)  # each distinct number token parsed once
-    for raw in text.splitlines():
+    for raw in lines:
         if raw in _LP_SECTIONS:
             section = raw
         elif section == "Subject To" or section == "Maximize" and objective is None:
@@ -514,13 +550,16 @@ def read_lp(text: str) -> IlpModel:
                         raise IlpFormatError(f"expected '+' or '-' in {raw!r}")
                     c = -c
                 if c:  # rows hold no zeros, so a zero term is the empty-row filler
-                    entries.append((columns.setdefault(tokens[at + 1], len(columns)), c))
+                    pos = position.get(tokens[at + 1])
+                    if pos is None:
+                        pos = missed.setdefault(tokens[at + 1], -1)
+                    entries.append((pos, c))
             if section == "Maximize":
                 objective = entries
             else:
                 rows.append((tokens[0][:-1], tokens[end], value[tokens[-1]], entries))
         elif section == "Binary" and raw[:1] == " ":
-            declared.append(raw[1:])
+            pass  # read ahead by _lp_binaries
         elif not section and raw[:7] == "\\ name=":
             name = raw[7:]
         else:
@@ -529,4 +568,4 @@ def read_lp(text: str) -> IlpModel:
         raise IlpFormatError("text does not end with End")
     if objective is None:
         raise IlpFormatError("no objective line under Maximize")
-    return _assemble(name, declared, columns, objective, *_transposed(rows))
+    return _assemble(name, declared, position, missed, objective, *_transposed(rows))

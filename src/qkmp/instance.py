@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph, as_count, is_connected, json_fields
@@ -147,12 +148,15 @@ class KeyAssignment:
 
     def __post_init__(self) -> None:
         try:
-            rows = tuple(tuple(as_count(v, "assignment entry") for v in row) for row in self.x)
+            rows = tuple(map(tuple, self.x))
         except TypeError:
             raise ValueError("assignment must be a list of rows") from None
-        if any(v not in (0, 1) for row in rows for v in row):
+        # one C-level type scan; as_count only runs when some entry needs it
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple(tuple(as_count(v, "assignment entry") for v in row) for row in rows)
+        if not set(chain.from_iterable(rows)) <= {0, 1}:
             raise ValueError("assignment entries must be 0 or 1")
-        if len({len(row) for row in rows}) > 1:
+        if len(set(map(len, rows))) > 1:
             raise ValueError("assignment rows must have equal length")
         object.__setattr__(self, "x", rows)
 
@@ -249,24 +253,28 @@ def evaluate(inst: KmpInstance, a: KeyAssignment) -> FeasibilityReport:
         if lhs > inst.capacity[i]:
             violations.append(Violation(CAPACITY, (i,), lhs, inst.capacity[i]))
 
+    # each vertex's ring once, as a set: the neighborhood counts and the
+    # objective read the rings, not the matrix
+    keys = range(K)
+    rings = [set(compress(keys, row)) for row in x]
     # a cell with x[i][k] == 0 has lhs 0, and the rhs p*|N(i)| + alpha is at
     # least 1, so only held keys can break their row
-    for i in range(g.n):
+    for i, row in enumerate(x):
+        if not rings[i]:
+            continue
         rhs = inst.neighborhood_cap(i)
-        nbrs = g.adjacency[i]
-        for k, held in enumerate(x[i]):
-            if not held:
-                continue
-            lhs = sum(x[j][k] for j in nbrs)
+        nbr_rings = [rings[j] for j in g.adjacency[i]]
+        for k in compress(keys, row):
+            lhs = sum(k in ring for ring in nbr_rings)
             if lhs > rhs:
                 violations.append(Violation(NEIGHBORHOOD_USE, (i, k), lhs, rhs))
 
-    for k in range(K):
-        lhs = sum(x[i][k] for i in range(g.n))
+    for k, lhs in enumerate(map(sum, zip(*x))):
         if lhs > inst.usage_limit[k]:
             violations.append(Violation(GLOBAL_USE, (k,), lhs, inst.usage_limit[k]))
 
-    objective = sum(derive_z(inst, a).values())
+    q = inst.q
+    objective = sum(len(rings[i] & rings[j]) >= q for i, j in g.edges)
     return FeasibilityReport(
         feasible=not violations, objective=objective, violations=tuple(violations)
     )

@@ -24,7 +24,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat, starmap
+from operator import ne
 
 from .graph import as_count, check_time_limit
 from .instance import KeyAssignment, KmpInstance, evaluate
@@ -216,12 +217,18 @@ class _State:
     edge below q shared keys.
 
     Every cell change goes through one of two signed mutators: ``hold``
-    adds or drops a 1, ``_zero`` fixes or reopens a 0. Both mark the cell's
-    key and vertex stale, which keeps the node bound's cached per-key
-    ``caps`` and per-vertex ``budgets`` valid: a cap reads column k of
-    ``val`` and ``nz`` and ``usage[k]``, a budget reads row v of ``val`` and
-    ``mem[v]``, which only changes together with row v. ``key_pair_caps``
-    and ``vertex_budgets`` recompute the stale entries only.
+    adds or drops a 1 (and keeps the byte row ``held``, which ``ring_mem``
+    sums), ``_zero`` fixes or reopens a 0. Both mark the cell's key stale,
+    which keeps the node bound's cached per-key ``caps`` valid: a cap reads
+    column k of ``val`` and ``nz`` and ``usage[k]``. A budget reads row v
+    of ``val`` and ``mem[v]``, which only changes together with a 1 in row
+    v, so ``hold`` marks v stale. Its loop walks the undecided keys of row v
+    lightest first and stops at the first that no longer fits; it records
+    that key's rank in ``keys_by_mem`` in ``budget_break[v]``. ``_zero``
+    marks v stale only when the key ranks at or before that break: a change
+    after it leaves the counted prefix, and so the budget, as it was.
+    ``key_pair_caps`` and ``vertex_budgets`` recompute the stale entries
+    only.
 
     The per-edge key counts work the same way. Key k's status on edge
     (i, j) reads ``val``, ``cnt`` and ``usage`` at column k, so a cell
@@ -260,11 +267,20 @@ class _State:
         self.pair_count = [0] * self.K  # edges whose endpoints both hold k
         # cells fixed by fix(), in order; undo_to reads each cell's value
         self.trail: list[tuple[int, int]] = []
-        # key order by memory footprint, for vertex budget estimation
+        # per vertex, a byte per key: 1 where val is 1, for C-level ring scans
+        self.held = [bytearray(self.K) for _ in range(g.n)]
+        # key order by memory footprint, for vertex budget estimation, and
+        # each key's rank in it
         self.keys_by_mem = sorted(range(self.K), key=lambda k: (inst.mem_per_key[k], k))
+        self.mem_rank = [0] * self.K
+        for rank, k in enumerate(self.keys_by_mem):
+            self.mem_rank[k] = rank
         # bound parts, valid except at the stale keys and vertices
         self.caps = [0] * self.K
         self.budgets = [0] * g.n
+        # per vertex, the rank of the key at which its budget loop broke,
+        # or K if it never broke
+        self.budget_break = [self.K] * g.n
         self.stale_keys = set(range(self.K))
         self.stale_vertices = set(range(g.n))
         # per vertex: its val row, its nz row and its ncap, for column scans;
@@ -282,10 +298,14 @@ class _State:
     def ring_mem(self, v: int, extra: int = -1) -> float:
         """Capacity lhs of v's ring plus key ``extra``, summed in key-index
         order exactly as the validator sums it."""
-        row = self.val[v]
-        return sum(
-            self.inst.mem_per_key[k] for k in range(self.K) if row[k] == 1 or k == extra
-        )
+        row = self.held[v]
+        if extra < 0:
+            return sum(compress(self.inst.mem_per_key, row))
+        was = row[extra]
+        row[extra] = 1
+        total = sum(compress(self.inst.mem_per_key, row))
+        row[extra] = was
+        return total
 
     def fits(self, v: int, k: int) -> bool:
         """The one capacity predicate: does key k fit on v's current ring?"""
@@ -313,6 +333,7 @@ class _State:
         heuristic checks capacity through ``fits``.
         """
         self.val[v][k] = d  # 1 held, -1 undecided
+        self.held[v][k] = d > 0
         used = self.usage[k] = self.usage[k] + d
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
@@ -340,7 +361,9 @@ class _State:
         if d > 0:
             self.trail.append((v, k))
         self.stale_keys.add(k)
-        self.stale_vertices.add(v)
+        # a key past the one v's budget loop broke at leaves the budget as it is
+        if self.mem_rank[k] <= self.budget_break[v]:
+            self.stale_vertices.add(v)
         if self.status is not None:
             self.stale_cells.add((v, k))
         for u in self.adj[v]:
@@ -440,7 +463,7 @@ class _State:
         """How many more keys could possibly fit on each vertex."""
         inst = self.inst
         mem = inst.mem_per_key
-        budgets = self.budgets
+        budgets, brk = self.budgets, self.budget_break
         for v in self.stale_vertices:
             left = inst.capacity[v] - self.mem[v] + BUDGET_SLACK
             row = self.val[v]
@@ -451,8 +474,11 @@ class _State:
                     continue
                 total += mem[k]
                 if total > left:
+                    brk[v] = self.mem_rank[k]
                     break
                 r += 1
+            else:
+                brk[v] = self.K
             budgets[v] = r
         self.stale_vertices.clear()
         return list(budgets)
@@ -602,7 +628,7 @@ class _State:
                 t[old] -= 1
                 t[new] += 1
 
-    def bound(self) -> int:
+    def bound(self, cutoff: int = -1) -> int:
         """Admissible completion bound: count edges not yet ruled out.
 
         An open edge (i, j) that lacks ``need`` shared keys, with budgets bi,
@@ -614,6 +640,10 @@ class _State:
         coverage bound alone caps the total: every cap is at least its key's
         ``pair_count``, so ``coverage_bound(caps)`` is at most sum(caps) and
         the cap sum(caps) // q never binds there.
+
+        A per-edge count at or below ``cutoff`` is returned as it is, without
+        the key caps: the search passes its incumbent, and the node is pruned
+        either way. With the default cutoff the full bound is returned.
         """
         q = self.inst.q
         budgets = self.vertex_budgets()
@@ -633,6 +663,8 @@ class _State:
                 and ni + bj >= need and nj + bi >= need
             ):
                 total += 1
+        if total <= cutoff:
+            return total
         caps = self.key_pair_caps()
         if q == 1:
             return min(total, self.coverage_bound(caps))
@@ -643,8 +675,11 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
     """Feasible constructive assignment, one pass over the edges.
 
     Edges are visited hubs-first; each edge greedily acquires up to q shared
-    keys, preferring keys already held by one endpoint and breaking usage
-    ties with a generator seeded by ``seed``; ``solve_bb`` keeps the best of
+    keys. It tries the keys exactly one endpoint holds first, then the keys
+    neither endpoint holds. Within each group the order is by usage at the
+    start of the edge, then by a tie draw from a generator seeded by
+    ``seed`` (K draws per edge, secured or not), then by key index: two
+    stable sorts, by tie and then by usage. ``solve_bb`` keeps the best of
     seeds 0 .. GREEDY_RESTARTS - 1. Every move is feasible, so the result
     validates.
     """
@@ -653,40 +688,48 @@ def greedy_heuristic(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
     rng = random.Random(seed)
     q = inst.q
     K = inst.key_count
+    keys = range(K)
+    shared, usage, held = st.shared, st.usage, st.held
 
     edge_order = sorted(
         g.edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
     )
     for i, j in edge_order:
         e = st.edge_id[(i, j)]
+        tie = list(starmap(rng.random, repeat((), K)))  # K draws
+        if shared[e] >= q:
+            continue
         placed: list[tuple[int, int]] = []
-        tie = [rng.random() for _ in range(K)]
-        # one-addition candidates first, then fresh keys, least used first
-        vi, vj, usage = st.val[i], st.val[j], st.usage
-        ranked = sorted(
-            [
-                (vi[k] != 1 and vj[k] != 1, usage[k], tie[k], k)
-                for k in range(K)
-                if vi[k] != 1 or vj[k] != 1
-            ]
-        )
-        for _, _, _, k in ranked:
-            if st.shared[e] >= q:
+        held_i, held_j = held[i], held[j]
+        # keys one endpoint holds: only the other endpoint takes a cell
+        ranked = list(compress(keys, map(ne, held_i, held_j)))
+        ranked.sort(key=tie.__getitem__)
+        ranked.sort(key=usage.__getitem__)
+        for k in ranked:
+            if shared[e] >= q:
                 break
-            done: list[tuple[int, int]] = []
-            for v in (i, j):
-                if st.val[v][k] != 1:
-                    if not st.can_hold(v, k):
-                        break
-                    st.hold(v, k, 1)
-                    done.append((v, k))
-            else:
-                placed += done
-                continue
-            # j refused k: take back i's cell, if k was placed there
-            if done:
-                st.hold(i, k, -1)
-        if st.shared[e] < q:
+            v = j if held_i[k] else i
+            if st.can_hold(v, k):
+                st.hold(v, k, 1)
+                placed.append((v, k))
+        if shared[e] < q:
+            # keys neither endpoint holds; their usage has not moved since
+            # the edge began, so sorting all keys now orders them the same
+            ranked = sorted(keys, key=tie.__getitem__)
+            ranked.sort(key=usage.__getitem__)
+            for k in ranked:
+                if held_i[k] or held_j[k]:
+                    continue
+                if shared[e] >= q:
+                    break
+                if st.can_hold(i, k):
+                    st.hold(i, k, 1)
+                    if st.can_hold(j, k):
+                        st.hold(j, k, 1)
+                        placed += ((i, k), (j, k))
+                    else:
+                        st.hold(i, k, -1)
+        if shared[e] < q:
             # could not secure this edge; return its keys to the pool
             for v, k in reversed(placed):
                 st.hold(v, k, -1)
@@ -710,9 +753,11 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     and such a key stops standing in for its run. A given-up edge stays
     unsecured below its frame (``_State.give_up``), so the node bound,
     the lesser of the parent's and ``_State.bound``, counts none of the
-    given-up edges. After each placement the propagator fixes forced zeros
-    from capacity, usage saturation, neighborhood saturation and given-up
-    edges. Zero-completion of the fixed pattern is always feasible and
+    given-up edges. A node whose parent's bound no longer beats the
+    incumbent is pruned without calling ``_State.bound``, and the call gets
+    the incumbent as its cutoff. After each placement the propagator fixes
+    forced zeros from capacity, usage saturation, neighborhood saturation
+    and given-up edges. Zero-completion of the fixed pattern is always feasible and
     feeds the incumbent. On a time or node limit the best open-node bound
     certifies the reported gap.
     """
@@ -812,7 +857,9 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         if obj_now > best_obj:
             best_obj = obj_now
             best_rows = st.materialize()
-        node_bound = min(frame_bound, st.bound())
+        if frame_bound <= best_obj:
+            continue
+        node_bound = min(frame_bound, st.bound(best_obj))
         if node_bound <= best_obj:
             continue
         child = new_frame(node_bound)

@@ -13,7 +13,17 @@ import random
 from qkmp import solver
 from qkmp.graph import Graph, make_graph
 from qkmp.ilp import IlpModel, build_ilp, x_name, y_name, z_name
-from qkmp.instance import KeyAssignment, KmpInstance, evaluate
+from qkmp.instance import (
+    CAPACITY,
+    GLOBAL_USE,
+    NEIGHBORHOOD_USE,
+    FeasibilityReport,
+    KeyAssignment,
+    KmpInstance,
+    Violation,
+    derive_z,
+    evaluate,
+)
 from qkmp.solver import OPTIMAL, SolveResult
 
 # dyadic memory weights: sums of these are exact in binary floating point,
@@ -137,6 +147,89 @@ def reference_brute_force(inst: KmpInstance) -> SolveResult:
         nodes=1 << (n * K),
         wall_time=0.0,
     )
+
+
+def reference_evaluate(inst: KmpInstance, a: KeyAssignment) -> FeasibilityReport:
+    """evaluate() written cell by cell over the matrix: every lhs a sum over
+    x, the objective from derive_z. instance.evaluate must give an equal
+    report, with each violation's lhs of the same type."""
+    if a.n != inst.graph.n or (a.n and a.key_count != inst.key_count):
+        raise ValueError("assignment shape does not match instance")
+    g = inst.graph
+    x = a.x
+    K = inst.key_count
+    violations = []
+    for i in range(g.n):
+        lhs = sum(inst.mem_per_key[k] * x[i][k] for k in range(K))
+        if lhs > inst.capacity[i]:
+            violations.append(Violation(CAPACITY, (i,), lhs, inst.capacity[i]))
+    for i in range(g.n):
+        rhs = inst.neighborhood_cap(i)
+        nbrs = g.adjacency[i]
+        for k, held in enumerate(x[i]):
+            if not held:
+                continue
+            lhs = sum(x[j][k] for j in nbrs)
+            if lhs > rhs:
+                violations.append(Violation(NEIGHBORHOOD_USE, (i, k), lhs, rhs))
+    for k in range(K):
+        lhs = sum(x[i][k] for i in range(g.n))
+        if lhs > inst.usage_limit[k]:
+            violations.append(Violation(GLOBAL_USE, (k,), lhs, inst.usage_limit[k]))
+    objective = sum(derive_z(inst, a).values())
+    return FeasibilityReport(
+        feasible=not violations, objective=objective, violations=tuple(violations)
+    )
+
+
+def reference_greedy(inst: KmpInstance, seed: int = 0) -> KeyAssignment:
+    """greedy_heuristic with its key order as one sort of (fresh, usage, tie,
+    key) tuples per edge. solver.greedy_heuristic must return the same
+    assignment for every seed."""
+    st = solver._State(inst)
+    g = inst.graph
+    rng = random.Random(seed)
+    q = inst.q
+    K = inst.key_count
+
+    edge_order = sorted(
+        g.edges, key=lambda e: (-(g.degree(e[0]) + g.degree(e[1])), e)
+    )
+    for i, j in edge_order:
+        e = st.edge_id[(i, j)]
+        placed: list[tuple[int, int]] = []
+        tie = [rng.random() for _ in range(K)]
+        # one-addition candidates first, then fresh keys, least used first
+        vi, vj, usage = st.val[i], st.val[j], st.usage
+        ranked = sorted(
+            [
+                (vi[k] != 1 and vj[k] != 1, usage[k], tie[k], k)
+                for k in range(K)
+                if vi[k] != 1 or vj[k] != 1
+            ]
+        )
+        for _, _, _, k in ranked:
+            if st.shared[e] >= q:
+                break
+            done: list[tuple[int, int]] = []
+            for v in (i, j):
+                if st.val[v][k] != 1:
+                    if not st.can_hold(v, k):
+                        break
+                    st.hold(v, k, 1)
+                    done.append((v, k))
+            else:
+                placed += done
+                continue
+            # j refused k: take back i's cell, if k was placed there
+            if done:
+                st.hold(i, k, -1)
+        if st.shared[e] < q:
+            # could not secure this edge; return its keys to the pool
+            for v, k in reversed(placed):
+                st.hold(v, k, -1)
+
+    return KeyAssignment(st.materialize())
 
 
 def quadratic_optimum(inst: KmpInstance) -> int:
@@ -263,6 +356,13 @@ def rescan_nz(st) -> list[list[int]]:
         [sum(1 for u in st.adj[v] if st.val[u][k] != 0) for k in range(st.K)]
         for v in range(st.n)
     ]
+
+
+def rescan_ring_mem(st, v: int, extra: int = -1) -> float:
+    """Capacity lhs of v's ring plus key ``extra``, read from val with a
+    generator over all keys in key-index order."""
+    mem = st.inst.mem_per_key
+    return sum(mem[k] for k in range(st.K) if st.val[v][k] == 1 or k == extra)
 
 
 def rescan_secured(st) -> int:

@@ -16,9 +16,9 @@ from qkmp.instance import (
     evaluate,
     shared_keys,
 )
-from qkmp.solver import OPTIMAL, solve_bb
+from qkmp.solver import OPTIMAL, greedy_heuristic, solve_bb
 
-from helpers import connected_random_graph, indirect_link_scenario
+from helpers import connected_random_graph, indirect_link_scenario, reference_evaluate
 
 TRIANGLE = make_graph(3, [(0, 1), (0, 2), (1, 2)])
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
@@ -340,3 +340,38 @@ def test_violations_match_full_cell_reference():
         infeasible += not report.feasible
         neighborhood += any(v.constraint == NEIGHBORHOOD_USE for v in report.violations)
     assert feasible >= 30 and infeasible >= 30 and neighborhood >= 30
+
+
+@pytest.mark.parametrize("weights", ["int", "float", "mixed"])
+def test_evaluate_matches_the_cell_reference(weights):
+    """The ring sets, column sums and set intersections give the report the
+    matrix formulation gives: the same violations in the same order, each
+    lhs of the same type, and the same objective."""
+    rng = random.Random({"int": 31, "float": 32, "mixed": 33}[weights])
+    pools = {"int": (1, 2, 3), "float": (0.1, 0.2, 0.3, 0.7, 1.5), "mixed": (1, 2, 0.1, 0.5, 1.5)}
+    feasible = infeasible = 0
+    for _ in range(150):
+        g = connected_random_graph(rng, rng.randint(2, 8), 0.5)
+        K = rng.randint(1, 6)
+        inst = KmpInstance(
+            graph=g,
+            key_count=K,
+            q=rng.randint(1, 3),
+            p=rng.choice([0.0, 0.3, 1.0]),
+            alpha=rng.randint(1, 2),
+            mem_per_key=tuple(rng.choice(pools[weights]) for _ in range(K)),
+            capacity=tuple(rng.choice((0.7, 1, 2, 2.5, 4)) for _ in range(g.n)),
+            usage_limit=tuple(rng.randint(1, g.n) for _ in range(K)),
+        )
+        density = rng.choice((0.2, 0.5, 0.9))
+        random_rows = [[int(rng.random() < density) for _ in range(K)] for _ in range(g.n)]
+        for a in (KeyAssignment.from_rows(random_rows), greedy_heuristic(inst, rng.randint(0, 7))):
+            report, expected = evaluate(inst, a), reference_evaluate(inst, a)
+            assert report == expected
+            assert [type(v.lhs) for v in report.violations] == [
+                type(v.lhs) for v in expected.violations
+            ]
+            assert type(report.objective) is int
+            feasible += report.feasible
+            infeasible += not report.feasible
+    assert feasible >= 150 and infeasible >= 50

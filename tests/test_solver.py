@@ -30,6 +30,7 @@ from helpers import (
     random_non_dyadic_instance,
     random_small_instance,
     reference_brute_force,
+    reference_greedy,
 )
 
 TRIANGLE = make_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -474,6 +475,32 @@ class TestGreedyHeuristic:
         a = greedy_heuristic(path_instance(), seed=0)
         obj = evaluate(path_instance(), a).objective
         assert 1 <= obj <= 2
+
+    def test_matches_the_tuple_sort_reference(self):
+        """On keys that differ in weight and usage limit, the two stable sorts
+        and the two key groups place the same cells as one sort of (fresh,
+        usage, tie, key) tuples per edge, for every restart seed."""
+        rng = random.Random(1707)
+        outcomes = set()
+        for _ in range(60):
+            g = connected_random_graph(rng, rng.randint(4, 12), rng.choice([0.3, 0.5, 0.8]))
+            K = rng.randint(2, 9)
+            inst = KmpInstance(
+                graph=g,
+                key_count=K,
+                q=rng.randint(1, 3),
+                p=rng.choice([0.2, 0.5, 1.0]),
+                alpha=rng.randint(1, 2),
+                mem_per_key=tuple(rng.choice(WIDE_NON_DYADIC_MEMS) for _ in range(K)),
+                capacity=tuple(rng.choice((0.6, 0.7, 1.0, 1.3, 2.1)) for _ in range(g.n)),
+                usage_limit=tuple(rng.randint(1, g.n) for _ in range(K)),
+            )
+            runs = [greedy_heuristic(inst, s) for s in range(8)]
+            assert runs == [reference_greedy(inst, s) for s in range(8)]
+            outcomes.add((inst.q, len(set(runs)) > 1))
+        # every q, with restarts that differ and restarts that agree
+        assert {q for q, _ in outcomes} == {1, 2, 3}
+        assert {spread for _, spread in outcomes} == {False, True}
 
 
 def test_compute_gap_conventions():

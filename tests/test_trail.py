@@ -26,6 +26,7 @@ from helpers import (
     rescan_edge_counts,
     rescan_key_pair_caps,
     rescan_nz,
+    rescan_ring_mem,
     rescan_secured,
     rescan_vertex_budgets,
 )
@@ -52,7 +53,9 @@ def walk_instance(rng: random.Random, q: int, mems: tuple) -> KmpInstance:
     )
 
 
-STATE_FIELDS = ("val", "usage", "mem", "cnt", "nz", "shared", "secured", "pair_count", "trail")
+STATE_FIELDS = (
+    "val", "held", "usage", "mem", "cnt", "nz", "shared", "secured", "pair_count", "trail"
+)
 
 
 def snapshot(st) -> dict:
@@ -63,6 +66,11 @@ def assert_matches_rescan(st) -> None:
     assert st.nz == rescan_nz(st)
     assert st.secured == rescan_secured(st)
     assert st.mem == [st.ring_mem(v) for v in range(st.n)]
+    # ring_mem's held-byte rows sum the keys a scan of val finds, in the same order
+    for v in range(st.n):
+        assert st.ring_mem(v) == rescan_ring_mem(st, v)
+        for k in range(st.K):
+            assert st.ring_mem(v, k) == rescan_ring_mem(st, v, k)
     # the trail holds each decided cell exactly once, and nothing else
     decided = [(v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] != -1]
     assert sorted(st.trail) == decided
