@@ -61,13 +61,14 @@ def key_path_connected(sg: SecureGraph) -> bool:
 def naive_pairwise_key_count(g: Graph, q: int) -> int:
     """Keys a no-reuse pairwise scheme needs to keep g connected.
 
-    Counts q fresh keys per spanning tree edge, q*(n-1) total.
+    Counts q fresh keys per spanning tree edge, q*(n-1) total; a graph
+    without vertices has no tree edge and needs none.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     if not is_connected(g):
         raise DisconnectedGraphError("baseline requires a connected graph")
-    return q * (g.n - 1)
+    return q * max(g.n - 1, 0)
 
 
 @dataclass(frozen=True)

@@ -211,24 +211,25 @@ def brute_force(inst: KmpInstance) -> SolveResult:
 class _State:
     """Mutable search state shared by the heuristic and the tree search.
 
-    Both set a 1 only through ``can_hold`` / ``hold``. The search goes
-    through ``fix`` / ``undo_to``, which add the trail, the forced zeros and
-    ``mem`` on top, and through ``give_up``, after which ``fix`` keeps that
-    edge below q shared keys.
+    Both change rings only through ``can_hold`` / ``hold``, so ring memory
+    ``mem`` is right after a move of either. The search goes through
+    ``fix`` / ``undo_to``, which add the trail and the forced zeros on top,
+    and through ``give_up``, after which ``fix`` keeps that edge below q
+    shared keys.
 
     Every cell change goes through one of two signed mutators: ``hold``
-    adds or drops a 1 (and keeps the byte row ``held``, which ``ring_mem``
-    sums), ``_zero`` fixes or reopens a 0. Both mark the cell's key stale,
-    which keeps the node bound's cached per-key ``caps`` valid: a cap reads
-    column k of ``val`` and ``nz`` and ``usage[k]``. A budget reads row v
-    of ``val`` and ``mem[v]``, which only changes together with a 1 in row
-    v, so ``hold`` marks v stale. Its loop walks the undecided keys of row v
-    lightest first and stops at the first that no longer fits; it records
-    that key's rank in ``keys_by_mem`` in ``budget_break[v]``. ``_zero``
-    marks v stale only when the key ranks at or before that break: a change
-    after it leaves the counted prefix, and so the budget, as it was.
-    ``key_pair_caps`` and ``vertex_budgets`` recompute the stale entries
-    only.
+    adds or drops a 1 and keeps the byte row ``held`` and ``mem[v]``, its
+    ``ring_mem`` sum; ``_zero`` fixes or reopens a 0. Both mark the cell's
+    key stale, which keeps the node bound's cached per-key ``caps`` valid:
+    a cap reads column k of ``val`` and ``nz`` and ``usage[k]``. A budget
+    reads row v of ``val`` and ``mem[v]``, which only changes together with
+    a 1 in row v, so ``hold`` marks v stale. Its loop walks the undecided
+    keys of row v lightest first and stops at the first that no longer
+    fits; it records that key's rank in ``keys_by_mem`` in
+    ``budget_break[v]``. ``_zero`` marks v stale only when the key ranks at
+    or before that break: a change after it leaves the counted prefix, and
+    so the budget, as it was. ``key_pair_caps`` and ``vertex_budgets``
+    recompute the stale entries only.
 
     The per-edge key counts work the same way. Key k's status on edge
     (i, j) reads ``val``, ``cnt`` and ``usage`` at column k, so a cell
@@ -327,13 +328,11 @@ class _State:
 
     def hold(self, v: int, k: int, d: int) -> None:
         """Add key k to v's ring (d = 1) or take it off again (d = -1) and
-        update usage, ``cnt``, ``shared``, ``secured`` and ``pair_count``.
-
-        ``mem`` is left alone: ``fix`` and ``undo_to`` keep it, and the
-        heuristic checks capacity through ``fits``.
-        """
+        update ``held``, ``mem``, usage, ``cnt``, ``shared``, ``secured``
+        and ``pair_count``. It is the only writer of ``mem``."""
         self.val[v][k] = d  # 1 held, -1 undecided
         self.held[v][k] = d > 0
+        self.mem[v] = self.ring_mem(v)
         used = self.usage[k] = self.usage[k] + d
         self.stale_keys.add(k)
         self.stale_vertices.add(v)
@@ -369,20 +368,17 @@ class _State:
         for u in self.adj[v]:
             self.nz[u][k] -= d
 
-    def fix(self, v: int, k: int, value: int) -> bool:
-        """Fix one cell and the zeros it forces. False means conflict, and a
-        conflict changes no state."""
+    def fix(self, v: int, k: int) -> bool:
+        """Place key k on v's ring and fix the zeros it forces. True if v
+        already holds k; False means conflict, and a conflict changes no
+        state."""
         cur = self.val[v][k]
         if cur != -1:
-            return cur == value
-        if value == 0:
-            self._zero(v, k, 1)
-            return True
+            return cur == 1
         if not self.can_hold(v, k):
             return False
         self.hold(v, k, 1)
         self.trail.append((v, k))
-        self.mem[v] = self.ring_mem(v)
 
         # only a 1 forces anything, and only zeros, so one pass is a fixpoint
         inst = self.inst
@@ -448,16 +444,13 @@ class _State:
             v, k = trail.pop()
             if self.val[v][k] == 1:
                 self.hold(v, k, -1)
-                self.mem[v] = self.ring_mem(v)
             else:
                 self._zero(v, k, -1)
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
-        """Zero-completion of the current fixed pattern; always feasible."""
-        return tuple(
-            tuple(1 if self.val[i][k] == 1 else 0 for k in range(self.K))
-            for i in range(self.n)
-        )
+        """Zero-completion of the current fixed pattern, read from the held
+        byte rows; always feasible."""
+        return tuple(map(tuple, self.held))
 
     def vertex_budgets(self) -> list[int]:
         """How many more keys could possibly fit on each vertex."""
@@ -851,7 +844,7 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         nodes += 1
         if k == GIVE_UP:
             st.give_up(e)
-        elif not all(st.fix(v, k, 1) for v in st.edges[e]):
+        elif not all(st.fix(v, k) for v in st.edges[e]):
             continue
         obj_now = st.secured
         if obj_now > best_obj:

@@ -79,6 +79,10 @@ class TestNaiveBaseline:
     def test_single_edge(self):
         assert naive_pairwise_key_count(path_graph(2), q=1) == 1
 
+    def test_no_tree_edge_without_two_vertices(self):
+        for n in (0, 1):
+            assert naive_pairwise_key_count(make_graph(n, []), q=2) == 0
+
     def test_scales_linearly_in_q(self):
         g = path_graph(5)
         for q in (1, 2, 3):

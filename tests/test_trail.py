@@ -1,14 +1,16 @@
 """The incremental counters of the search state against from-scratch rescans.
 
-Random fix / mark / undo_to walks on small instances, with q = 1, 2 and 3
-and with dyadic as well as non-dyadic memory weights. After every step the
-co-holder counts, the secured-edge counter, the ring memory, the key pair
-caps, the vertex budgets, the per-edge candidate key counts and the node
-bound must equal what a full rescan of the fixed pattern gives. A
-conflicting fix must change no state, and undoing the whole trail must give
-back a fresh state. After every fix, no undecided cell may be left open that
-a usage or neighborhood row forbids, and no edge the search gave up may be
-left one key short of q with a cell open that would secure it.
+Random fix / zero / mark / undo_to walks on small instances, with q = 1, 2
+and 3 and with dyadic as well as non-dyadic memory weights. After every step
+the co-holder counts, the secured-edge counter, the ring memory, the key
+pair caps, the vertex budgets, the per-edge candidate key counts, the node
+bound and the materialized rings must equal what a full rescan of the fixed
+pattern gives. A conflicting fix must change no state, and undoing the
+whole trail must give back a fresh state. After every fix, no undecided
+cell may be left open that a usage or neighborhood row forbids, and no edge
+the search gave up may be left one key short of q with a cell open that
+would secure it. Walks of the heuristic's moves alone, ``can_hold`` /
+``hold`` without ``fix``, must keep the same counters exact.
 """
 
 import copy
@@ -17,7 +19,7 @@ import random
 import pytest
 
 from qkmp import solver
-from qkmp.instance import KmpInstance, evaluate
+from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 
 from helpers import (
     DYADIC_MEMS,
@@ -62,7 +64,16 @@ def snapshot(st) -> dict:
     return {name: copy.deepcopy(getattr(st, name)) for name in STATE_FIELDS}
 
 
-def assert_matches_rescan(st) -> None:
+def fix_or_zero(st, rng: random.Random, v: int, k: int, p_one: float) -> bool:
+    """Fix the open cell (v, k) to 1 with probability ``p_one``, else to 0 as
+    the propagator does; one draw either way."""
+    if rng.random() < p_one:
+        return st.fix(v, k)
+    st._zero(v, k, 1)
+    return True
+
+
+def assert_matches_rescan(st, trail: bool = True) -> None:
     assert st.nz == rescan_nz(st)
     assert st.secured == rescan_secured(st)
     assert st.mem == [st.ring_mem(v) for v in range(st.n)]
@@ -71,9 +82,15 @@ def assert_matches_rescan(st) -> None:
         assert st.ring_mem(v) == rescan_ring_mem(st, v)
         for k in range(st.K):
             assert st.ring_mem(v, k) == rescan_ring_mem(st, v, k)
-    # the trail holds each decided cell exactly once, and nothing else
-    decided = [(v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] != -1]
-    assert sorted(st.trail) == decided
+    assert st.materialize() == tuple(
+        tuple(int(s == 1) for s in row) for row in st.val
+    )
+    if trail:
+        # the trail holds each decided cell exactly once, and nothing else
+        decided = [
+            (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] != -1
+        ]
+        assert sorted(st.trail) == decided
     assert st.key_pair_caps() == rescan_key_pair_caps(st)
     assert st.vertex_budgets() == rescan_vertex_budgets(st)
     assert [c[1:] for c in st.edge_counts()] == rescan_edge_counts(st)
@@ -101,7 +118,7 @@ def test_random_walks_match_rescan(q, mems):
                 marks.append(st.mark())
                 v, k = rng.choice(open_cells)
                 before = snapshot(st)
-                ok = st.fix(v, k, 1 if rng.random() < 0.6 else 0)
+                ok = fix_or_zero(st, rng, v, k, 0.6)
                 assert_matches_rescan(st)
                 if not ok:
                     conflicts += 1
@@ -145,6 +162,32 @@ def test_greedy_leaves_counters_consistent(monkeypatch, q, mems):
         assert st.bound() == rescan_bound(st)
 
 
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_hold_walks_match_rescan(q, mems):
+    """The heuristic's path: hold a key where ``can_hold`` allows it or take
+    a held one back, with no ``fix``; ``hold`` alone keeps ring memory."""
+    rng = random.Random(300 + 10 * q + (mems is DYADIC_MEMS))
+    takebacks = 0
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        for _ in range(50):
+            cells = [(v, k) for v in range(st.n) for k in range(st.K)]
+            held = [(v, k) for v, k in cells if st.val[v][k] == 1]
+            addable = [(v, k) for v, k in cells if st.val[v][k] == -1 and st.can_hold(v, k)]
+            if addable and (not held or rng.random() < 0.6):
+                st.hold(*rng.choice(addable), 1)
+            elif held:
+                takebacks += 1
+                st.hold(*rng.choice(held), -1)
+            else:
+                break
+            assert_matches_rescan(st, trail=False)
+        assert st.trail == []
+        assert evaluate(inst, KeyAssignment(st.materialize())).feasible
+    assert takebacks > 0
+
+
 def assert_propagated(st) -> None:
     """No undecided cell is left open that a usage or neighborhood row
     already forbids: fix closes those as soon as they arise."""
@@ -174,7 +217,7 @@ def test_fix_closes_every_cell_a_row_forbids(q, mems):
             if not open_cells:
                 break
             v, k = rng.choice(open_cells)
-            st.fix(v, k, 1 if rng.random() < 0.7 else 0)
+            fix_or_zero(st, rng, v, k, 0.7)
             assert_propagated(st)
 
 
@@ -213,7 +256,7 @@ def test_given_up_edges_stay_unsecured(q, mems):
             elif open_cells and (not marks or roll < 0.7):
                 marks.append((st.mark(), None))
                 v, k = rng.choice(open_cells)
-                if not st.fix(v, k, 1 if rng.random() < 0.7 else 0):
+                if not fix_or_zero(st, rng, v, k, 0.7):
                     st.undo_to(marks.pop()[0])
             elif marks:
                 # back out past the cut, as the search pops its frames
