@@ -209,7 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (GraphError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

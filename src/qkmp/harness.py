@@ -221,8 +221,8 @@ def parse_results_csv(text: str) -> dict[str, list[InstanceRow]]:
         config_id, seed, status, objective, bound, gap, wall_time = rec
         if seed == "summary":
             continue
-        rows.setdefault(config_id, []).append(
-            InstanceRow(
+        try:
+            row = InstanceRow(
                 seed=int(seed),
                 status=status,
                 objective=int(objective) if objective else None,
@@ -230,7 +230,9 @@ def parse_results_csv(text: str) -> dict[str, list[InstanceRow]]:
                 gap=float(gap) if gap else None,
                 wall_time=float(wall_time) if wall_time else None,
             )
-        )
+        except ValueError:
+            raise ValueError(f"malformed results row: {rec!r}") from None
+        rows.setdefault(config_id, []).append(row)
     return rows
 
 

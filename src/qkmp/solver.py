@@ -215,20 +215,23 @@ class _State:
     ``mem`` is right after a move of either. The search goes through
     ``fix`` / ``undo_to``, which add the trail and the forced zeros on top,
     and through ``give_up``, after which ``fix`` keeps that edge below q
-    shared keys.
+    shared keys. A key is closed while ``usage[k]`` equals its limit:
+    ``can_hold`` and ``fix`` refuse its undecided cells and the bound parts
+    read them as zeros, so closing a key writes no cell.
 
     Every cell change goes through one of two signed mutators: ``hold``
     adds or drops a 1 and keeps the byte row ``held`` and ``mem[v]``, its
     ``ring_mem`` sum; ``_zero`` fixes or reopens a 0. Both mark the cell's
     key stale, which keeps the node bound's cached per-key ``caps`` valid:
-    a cap reads column k of ``val`` and ``nz`` and ``usage[k]``. A budget
-    reads row v of ``val`` and ``mem[v]``, which only changes together with
-    a 1 in row v, so ``hold`` marks v stale. Its loop walks the undecided
-    keys of row v lightest first and stops at the first that no longer
-    fits; it records that key's rank in ``keys_by_mem`` in
-    ``budget_break[v]``. ``_zero`` marks v stale only when the key ranks at
-    or before that break: a change after it leaves the counted prefix, and
-    so the budget, as it was. ``key_pair_caps`` and ``vertex_budgets``
+    a cap reads column k of ``val``, ``nz`` and ``cnt`` and ``usage[k]``. A
+    budget reads row v of ``val``, ``mem[v]`` and which keys are closed;
+    ``mem[v]`` only changes together with a 1 in row v, so ``hold`` marks v
+    stale. Its loop walks the open undecided keys of row v lightest first
+    and stops at the first that no longer fits; it records that key's rank
+    in ``keys_by_mem`` in ``budget_break[v]``. ``_zero``, and ``hold`` when
+    it closes or reopens a key, mark v stale only when the key ranks at or
+    before that break: a change after it leaves the counted prefix, and so
+    the budget, as it was. ``key_pair_caps`` and ``vertex_budgets``
     recompute the stale entries only.
 
     The per-edge key counts work the same way. Key k's status on edge
@@ -240,6 +243,12 @@ class _State:
     next ``bound`` or ``edge_counts`` recounts the stale statuses only. The
     first such call builds the counts, so the heuristic, which never
     bounds, never pays for them.
+
+    Backing out needs no recount: while the cell trail is not empty, every
+    status and budget that a bound overwrites leaves its old value on the
+    cache trail, and ``undo_to`` writes those values back. A mark records
+    where the cache trail stood and which statuses and budgets were stale,
+    so that the undo leaves those, and only those, stale again.
     """
 
     def __init__(self, inst: KmpInstance):
@@ -276,6 +285,9 @@ class _State:
         self.mem_rank = [0] * self.K
         for rank, k in enumerate(self.keys_by_mem):
             self.mem_rank[k] = rank
+        # per rank in keys_by_mem, 1 while that key is open (below its limit)
+        self.open_by_rank = bytearray([1]) * self.K
+        self.heaviest = max(inst.mem_per_key, default=0.0)
         # bound parts, valid except at the stale keys and vertices
         self.caps = [0] * self.K
         self.budgets = [0] * g.n
@@ -284,15 +296,24 @@ class _State:
         self.budget_break = [self.K] * g.n
         self.stale_keys = set(range(self.K))
         self.stale_vertices = set(range(g.n))
-        # per vertex: its val row, its nz row and its ncap, for column scans;
-        # the rows are the live lists, so the tuples never go stale
+        # per vertex: its val row, its nz row (its cnt row, for a closed key)
+        # and its ncap, for column scans; the rows are the live lists, so
+        # the tuples never go stale
         self.vertex_rows = list(zip(self.val, self.nz, self.ncap))
+        self.closed_rows = list(zip(self.val, self.cnt, self.ncap))
         # key k's status on edge e at status[k][e], and per edge the number
         # of keys in each status; None until edge_counts first runs
         self.status: list[list[int]] | None = None
         self.tally: list[list[int]] = []
         self.stale_cells: set[tuple[int, int]] = set()  # recount k at v's edges
-        self.stale_count_keys: set[int] = set()  # recount k on every edge
+        self.stale_count_keys = set(range(self.K))  # recount k on every edge
+        # the cache trail: the statuses and budgets that a bound overwrote
+        # while the cell trail was not empty, as flat (e, k, old status) and
+        # (v, old budget, old break) triples, and per mark, their lengths and
+        # the stale statuses and budgets, None if there were none
+        self.saved_status: list[int] = []
+        self.saved_budgets: list[int] = []
+        self.marks: dict[int, tuple[int, int, tuple | None]] = {}
         # edges the search has given up (see give_up); bound() counts none
         self.given_up = [False] * len(self.edges)
 
@@ -327,22 +348,39 @@ class _State:
         return True
 
     def hold(self, v: int, k: int, d: int) -> None:
-        """Add key k to v's ring (d = 1) or take it off again (d = -1) and
-        update ``held``, ``mem``, usage, ``cnt``, ``shared``, ``secured``
-        and ``pair_count``. It is the only writer of ``mem``."""
-        self.val[v][k] = d  # 1 held, -1 undecided
-        self.held[v][k] = d > 0
-        self.mem[v] = self.ring_mem(v)
-        used = self.usage[k] = self.usage[k] + d
-        self.stale_keys.add(k)
+        """Add key k to v's ring (d = 1) or take it off again (d = -1),
+        update the counters (see ``_move``) and mark the statuses and
+        budgets that the move changes stale."""
+        self._move(v, k, d)
+        used, limit = self.usage[k], self.inst.usage_limit[k]
         self.stale_vertices.add(v)
         if self.status is not None:
             # did usage[k] enter or leave limit - 1 or limit?
-            if max(used, used - d) >= self.inst.usage_limit[k] - 1:
+            if max(used, used - d) >= limit - 1:
                 self.stale_count_keys.add(k)
             else:
                 # the edges at v are among the edges at its neighbours
                 self.stale_cells.update(zip(self.adj[v], repeat(k)))
+        # closing or reopening k moves the budgets that count it; every
+        # vertex is stale anyway until the first vertex_budgets
+        if limit in (used, used - d) and len(self.stale_vertices) < self.n:
+            val, brk, rank = self.val, self.budget_break, self.mem_rank[k]
+            self.stale_vertices.update(
+                [w for w in range(self.n) if val[w][k] == -1 and rank <= brk[w]]
+            )
+
+    def _move(self, v: int, k: int, d: int) -> None:
+        """The counters of ``hold``: ``held``, ``mem``, usage and whether
+        key k is open, ``cnt``, ``shared``, ``secured`` and ``pair_count``,
+        and key k's cap. It is the only writer of ``mem``; ``undo_to`` calls
+        it without ``hold``, since it writes the statuses and budgets back
+        itself."""
+        self.val[v][k] = d  # 1 held, -1 undecided
+        self.held[v][k] = d > 0
+        self.mem[v] = self.ring_mem(v)
+        used = self.usage[k] = self.usage[k] + d
+        self.open_by_rank[self.mem_rank[k]] = used < self.inst.usage_limit[k]
+        self.stale_keys.add(k)
         q = self.inst.q
         val, cnt, shared = self.val, self.cnt, self.shared
         for u, e in zip(self.adj[v], self.incident[v]):
@@ -355,16 +393,17 @@ class _State:
 
     def _zero(self, v: int, k: int, d: int) -> None:
         """Fix the undecided cell (v, k) to 0 and push it on the trail
-        (d = 1), or make the popped zero undecided again (d = -1)."""
+        (d = 1), or make the zero ``undo_to`` pops undecided again
+        (d = -1), which leaves the statuses and budgets to the undo."""
         self.val[v][k] = 0 if d > 0 else -1
+        self.stale_keys.add(k)
         if d > 0:
             self.trail.append((v, k))
-        self.stale_keys.add(k)
-        # a key past the one v's budget loop broke at leaves the budget as it is
-        if self.mem_rank[k] <= self.budget_break[v]:
-            self.stale_vertices.add(v)
-        if self.status is not None:
-            self.stale_cells.add((v, k))
+            # a key past the one v's budget loop broke at leaves the budget as it is
+            if self.mem_rank[k] <= self.budget_break[v]:
+                self.stale_vertices.add(v)
+            if self.status is not None:
+                self.stale_cells.add((v, k))
         for u in self.adj[v]:
             self.nz[u][k] -= d
 
@@ -380,39 +419,42 @@ class _State:
         self.hold(v, k, 1)
         self.trail.append((v, k))
 
-        # only a 1 forces anything, and only zeros, so one pass is a fixpoint
+        # only a 1 forces anything, and only zeros, so one pass is a fixpoint.
+        # A closed key needs no zeros: no cell of it can take a 1
         inst = self.inst
         val, cnt, ncap = self.val, self.cnt, self.ncap
-        # usage saturation closes the key for everyone else
-        if self.usage[k] == inst.usage_limit[k]:
-            for w in range(self.n):
-                if val[w][k] == -1:
-                    self._zero(w, k, 1)
-        # capacity: keys that no longer fit at v are out. The difference is
-        # only a cheap filter; fits() decides, as evaluate() would
+        usage, limit = self.usage, inst.usage_limit
+        # capacity: open keys that no longer fit at v are out. The
+        # difference is only a cheap filter, which no key passes while the
+        # heaviest one fits in it; fits() decides, as evaluate() would
         left = inst.capacity[v] - self.mem[v]
         row = val[v]
-        for kk in range(self.K):
-            if row[kk] == -1 and inst.mem_per_key[kk] > left and not self.fits(v, kk):
+        for kk in range(self.K) if left < self.heaviest else ():
+            if (
+                row[kk] == -1 and inst.mem_per_key[kk] > left
+                and usage[kk] < limit[kk] and not self.fits(v, kk)
+            ):
                 self._zero(v, kk, 1)
-        # neighborhood rows: an undecided neighbor whose row is already over
-        # its cap, and the undecided neighbors of every holder at its cap
-        # (v included), may not take k anymore
+        # neighborhood rows, while k is open: an undecided neighbor whose
+        # row is already over its cap, and the undecided neighbors of every
+        # holder at its cap (v included), may not take k anymore
+        k_open = usage[k] < limit[k]
         v_full = cnt[v][k] == ncap[v]
         q1 = inst.q - 1
         for u, e in zip(self.adj[v], self.incident[v]):
-            uval = val[u][k]
-            if uval == -1 and (v_full or cnt[u][k] > ncap[u]):
-                self._zero(u, k, 1)
-            elif uval == 1 and cnt[u][k] == ncap[u]:
-                for w in self.adj[u]:
-                    if val[w][k] == -1:
-                        self._zero(w, k, 1)
+            if k_open:
+                uval = val[u][k]
+                if uval == -1 and (v_full or cnt[u][k] > ncap[u]):
+                    self._zero(u, k, 1)
+                elif uval == 1 and cnt[u][k] == ncap[u]:
+                    for w in self.adj[u]:
+                        if val[w][k] == -1:
+                            self._zero(w, k, 1)
             # a given-up edge one key short of q takes no further shared key
             if self.given_up[e] and self.shared[e] == q1:
                 if val[u][k] == 1:
                     self._seal(e)  # k was the (q-1)-th shared key
-                elif val[u][k] == -1:
+                elif k_open and val[u][k] == -1:
                     self._zero(u, k, 1)
         return True
 
@@ -425,27 +467,76 @@ class _State:
             self._seal(e)
 
     def _seal(self, e: int) -> None:
-        """Close every undecided cell that would give edge e one more shared key."""
+        """Close every undecided cell of an open key that would give edge e
+        one more shared key."""
         i, j = self.edges[e]
         row_i, row_j = self.val[i], self.val[j]
+        usage, limit = self.usage, self.inst.usage_limit
         for k in range(self.K):
+            if usage[k] == limit[k]:
+                continue
             if row_i[k] == 1 and row_j[k] == -1:
                 self._zero(j, k, 1)
             elif row_j[k] == 1 and row_i[k] == -1:
                 self._zero(i, k, 1)
 
     def mark(self) -> int:
+        """The trail length, for ``undo_to``. It also records where the
+        cache trail stands and which statuses and budgets are stale."""
+        stale = None
+        if self.stale_cells or self.stale_count_keys or self.stale_vertices:
+            stale = (
+                set(self.stale_cells), set(self.stale_count_keys), set(self.stale_vertices)
+            )
+        self.marks[len(self.trail)] = (
+            len(self.saved_status), len(self.saved_budgets), stale
+        )
         return len(self.trail)
 
     def undo_to(self, mark: int) -> None:
-        """Pop the trail back to ``mark``, making each popped cell undecided."""
+        """Pop the trail back to ``mark``, making each popped cell
+        undecided, and write back every status and budget that a bound
+        overwrote since the mark. Those that were stale at the mark are
+        stale again; an undo to a length that no mark recorded leaves every
+        status and budget stale."""
         trail = self.trail
-        while len(trail) > mark:
-            v, k = trail.pop()
-            if self.val[v][k] == 1:
-                self.hold(v, k, -1)
-            else:
-                self._zero(v, k, -1)
+        if len(trail) > mark:
+            val = self.val
+            for v, k in reversed(trail[mark:]):
+                if val[v][k] == 1:
+                    self._move(v, k, -1)
+                else:
+                    self._zero(v, k, -1)
+            del trail[mark:]
+        status_start, budget_start, stale = self.marks.get(mark) or (
+            0, 0, ((), range(self.K), range(self.n))
+        )
+        saved = self.saved_status
+        if len(saved) > status_start:
+            status, tally = self.status, self.tally
+            back = reversed(saved[status_start:])
+            for old, k, e in zip(back, back, back):
+                column, t = status[k], tally[e]
+                t[column[e]] -= 1
+                t[old] += 1
+                column[e] = old
+            del saved[status_start:]
+        saved = self.saved_budgets
+        if len(saved) > budget_start:
+            budgets, brk = self.budgets, self.budget_break
+            back = reversed(saved[budget_start:])
+            for old_brk, old, v in zip(back, back, back):
+                budgets[v] = old
+                brk[v] = old_brk
+            del saved[budget_start:]
+        self.stale_cells.clear()
+        self.stale_count_keys.clear()
+        self.stale_vertices.clear()
+        if stale:
+            cells, keys, vertices = stale
+            self.stale_cells.update(cells)
+            self.stale_count_keys.update(keys)
+            self.stale_vertices.update(vertices)
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern, read from the held
@@ -453,28 +544,35 @@ class _State:
         return tuple(map(tuple, self.held))
 
     def vertex_budgets(self) -> list[int]:
-        """How many more keys could possibly fit on each vertex."""
+        """How many more keys could possibly fit on each vertex, as the live
+        list. A closed key fits nowhere. While the cell trail is not empty,
+        each budget it changes goes on the cache trail with its break."""
         inst = self.inst
-        mem = inst.mem_per_key
-        budgets, brk = self.budgets, self.budget_break
+        mem, capacity = inst.mem_per_key, inst.capacity
+        keys, is_open = self.keys_by_mem, self.open_by_rank
+        budgets, brk, rank = self.budgets, self.budget_break, self.mem_rank
+        saved = self.saved_budgets if self.trail else None
+        K = self.K
         for v in self.stale_vertices:
-            left = inst.capacity[v] - self.mem[v] + BUDGET_SLACK
+            left = capacity[v] - self.mem[v] + BUDGET_SLACK
             row = self.val[v]
             r = 0
+            b = K  # the loop never broke
             total = 0.0
-            for k in self.keys_by_mem:
+            for k in compress(keys, is_open):
                 if row[k] != -1:
                     continue
                 total += mem[k]
                 if total > left:
-                    brk[v] = self.mem_rank[k]
+                    b = rank[k]
                     break
                 r += 1
-            else:
-                brk[v] = self.K
+            if saved is not None and (budgets[v] != r or brk[v] != b):
+                saved += v, budgets[v], brk[v]
             budgets[v] = r
+            brk[v] = b
         self.stale_vertices.clear()
-        return list(budgets)
+        return budgets
 
     def key_pair_caps(self) -> list[int]:
         """Per-key cap on the number of co-holding adjacent pairs.
@@ -483,22 +581,22 @@ class _State:
         most min(ncap(v), co-holder candidates, t_k - 1) neighbors, so key k
         yields at most floor(sum of those weights / 2) pairs. Fixed holders
         always count; of the undecided ones only the t_k - usage_k heaviest
-        can still join the ring.
+        can still join the ring. A closed key's undecided cells count as
+        zeros, so its holders' candidates are the neighbors that hold it.
         """
         inst = self.inst
-        rows = self.vertex_rows
         caps = self.caps
         for k in self.stale_keys:
             t_k = inst.usage_limit[k]
             remaining = t_k - self.usage[k]
             weight_sum = 0
             addable: list[int] = []
-            for val_v, nz_v, ncap_v in rows:
+            for val_v, co_v, ncap_v in self.vertex_rows if remaining else self.closed_rows:
                 state = val_v[k]
                 if state == 0:
                     continue
-                # min(ncap_v, nz_v[k], t_k - 1), without the call overhead
-                w = nz_v[k]
+                # min(ncap_v, co_v[k], t_k - 1), without the call overhead
+                w = co_v[k]
                 if w > ncap_v:
                     w = ncap_v
                 if w >= t_k:
@@ -578,7 +676,6 @@ class _State:
         if self.status is None:
             self.status = [[NOT_ADDABLE] * E for _ in range(K)]
             self.tally = [[K, 0, 0, 0] for _ in range(E)]
-            self.stale_count_keys.update(range(K))
         full = self.stale_count_keys
         for k in full:
             self._recount(k, range(E))
@@ -592,12 +689,15 @@ class _State:
         return self.tally
 
     def _recount(self, k: int, edge_ids) -> None:
-        """Set key k's status on the given edges afresh and move the tallies."""
+        """Set key k's status on the given edges afresh and move the tallies.
+        While the cell trail is not empty, each status it changes goes on
+        the cache trail."""
         used, limit = self.usage[k], self.inst.usage_limit[k]
         live = used < limit
         pair = used + 2 <= limit
         val, cnt, ncap = self.val, self.cnt, self.ncap
         edges, status, tally = self.edges, self.status[k], self.tally
+        saved = self.saved_status if self.trail else None
         for e in edge_ids:
             new = NOT_ADDABLE
             if live:
@@ -616,6 +716,8 @@ class _State:
                     new = AT_BOTH
             old = status[e]
             if old != new:
+                if saved is not None:
+                    saved += e, k, old
                 status[e] = new
                 t = tally[e]
                 t[old] -= 1
@@ -749,9 +851,9 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     given-up edges. A node whose parent's bound no longer beats the
     incumbent is pruned without calling ``_State.bound``, and the call gets
     the incumbent as its cutoff. After each placement the propagator fixes
-    forced zeros from capacity, usage saturation, neighborhood saturation
-    and given-up edges. Zero-completion of the fixed pattern is always feasible and
-    feeds the incumbent. On a time or node limit the best open-node bound
+    forced zeros from capacity, neighborhood saturation and given-up edges;
+    a key at its usage limit is closed without any. Zero-completion of the
+    fixed pattern is always feasible and feeds the incumbent. On a time or node limit the best open-node bound
     certifies the reported gap.
     """
     cfg = cfg or SolverConfig()

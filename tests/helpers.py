@@ -371,19 +371,21 @@ def rescan_secured(st) -> int:
 
 
 def rescan_key_pair_caps(st) -> list[int]:
-    """key_pair_caps with co-holder candidates recounted from val."""
+    """key_pair_caps with co-holder candidates recounted from val. The
+    undecided cells of a key at its usage limit count as zeros."""
     inst = st.inst
     caps = []
     for k in range(st.K):
         t_k = inst.usage_limit[k]
         remaining = t_k - st.usage[k]
+        live = (1,) if remaining == 0 else (1, -1)  # the cell values not ruled out
         weight_sum = 0
         addable = []
         for v in range(st.n):
             state = st.val[v][k]
-            if state == 0:
+            if state not in live:
                 continue
-            co_holders = sum(1 for u in st.adj[v] if st.val[u][k] != 0)
+            co_holders = sum(1 for u in st.adj[v] if st.val[u][k] in live)
             w = min(st.ncap[v], co_holders, t_k - 1)
             if state == 1:
                 weight_sum += w
@@ -400,7 +402,7 @@ def rescan_vertex_budgets(st) -> list[int]:
     """vertex_budgets with every vertex recounted from val and mem.
 
     Reads the state's ring memory ``mem``; the random walks check that
-    against ring_mem on their own.
+    against ring_mem on their own. A key at its usage limit fits nowhere.
     """
     inst = st.inst
     keys_by_mem = sorted(range(st.K), key=lambda k: (inst.mem_per_key[k], k))
@@ -410,7 +412,7 @@ def rescan_vertex_budgets(st) -> list[int]:
         r = 0
         total = 0.0
         for k in keys_by_mem:
-            if st.val[v][k] != -1:
+            if st.val[v][k] != -1 or st.usage[k] >= inst.usage_limit[k]:
                 continue
             total += inst.mem_per_key[k]
             if total > left:

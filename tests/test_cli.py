@@ -288,6 +288,10 @@ class TestBench:
         assert main(["bench", "--config-id", "q9-9"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_id_message_is_unquoted(self, capsys):
+        assert main(["bench", "--config-id", "nope"]) == 1
+        assert capsys.readouterr().err == "error: unknown configuration 'nope'\n"
+
     def test_desk_run_emits_csv(self, tmp_path):
         out = tmp_path / "results.csv"
         rc = main(

@@ -324,6 +324,18 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_results_csv("a,b,c\n")
 
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("seed", "abc"), ("objective", "1.5"), ("bound", "x"), ("gap", "--"), ("wall_time", "fast")],
+    )
+    def test_parser_names_the_row_with_a_bad_number(self, field, bad):
+        row = dict(zip(CSV_HEADER, ["c", "5", OPTIMAL, "4", "4", "0.0", "1.0"]))
+        row[field] = bad
+        line = ",".join(row[name] for name in CSV_HEADER)
+        with pytest.raises(ValueError, match=r"^malformed results row: \[") as err:
+            parse_results_csv(line + "\n")
+        assert repr(bad) in str(err.value)
+
     def test_summary_from_parsed_rows_matches_original(self):
         stats = run_experiment(tiny_config(instance_count=3))
         parsed = parse_results_csv(emit_csv(stats))

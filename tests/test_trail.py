@@ -10,7 +10,10 @@ whole trail must give back a fresh state. After every fix, no undecided
 cell may be left open that a usage or neighborhood row forbids, and no edge
 the search gave up may be left one key short of q with a cell open that
 would secure it. Walks of the heuristic's moves alone, ``can_hold`` /
-``hold`` without ``fix``, must keep the same counters exact.
+``hold`` without ``fix``, must keep the same counters exact. Backing out to
+a mark must give back the cached statuses, tallies and budgets of that mark
+without a bound in between, and leave stale what was stale then. A key at
+its usage limit is closed: the rescans read its undecided cells as zeros.
 """
 
 import copy
@@ -190,13 +193,19 @@ def test_hold_walks_match_rescan(q, mems):
 
 def assert_propagated(st) -> None:
     """No undecided cell is left open that a usage or neighborhood row
-    already forbids: fix closes those as soon as they arise."""
+    already forbids: fix closes those as soon as they arise. A key at its
+    usage limit is closed as a whole, and none of its cells takes a 1."""
     for k in range(st.K):
         saturated = st.usage[k] >= st.inst.usage_limit[k]
         for u in range(st.n):
             if st.val[u][k] != -1:
                 continue
-            assert not saturated
+            if saturated:
+                before = snapshot(st)
+                assert not st.can_hold(u, k)
+                assert st.fix(u, k) is False
+                assert snapshot(st) == before
+                continue
             assert st.cnt[u][k] <= st.ncap[u]
             # a holder at its cap, whoever was fixed last, takes no more co-holders
             assert not any(
@@ -223,7 +232,8 @@ def test_fix_closes_every_cell_a_row_forbids(q, mems):
 
 def assert_sealed(st) -> None:
     """A given-up edge stays below q shared keys, and once it is one short
-    no undecided cell is left that would add a shared key to it."""
+    no undecided cell is left that would add a shared key to it, except of
+    a key at its usage limit, which no cell may take."""
     q = st.inst.q
     for e, (i, j) in enumerate(st.edges):
         if not st.given_up[e]:
@@ -231,7 +241,9 @@ def assert_sealed(st) -> None:
         assert st.shared[e] < q
         if st.shared[e] == q - 1:
             for k in range(st.K):
-                assert {st.val[i][k], st.val[j][k]} != {-1, 1}
+                if {st.val[i][k], st.val[j][k]} == {-1, 1}:
+                    assert st.usage[k] >= st.inst.usage_limit[k]
+                    assert not st.can_hold(j if st.val[i][k] == 1 else i, k)
 
 
 @pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
@@ -268,3 +280,80 @@ def test_given_up_edges_stay_unsecured(q, mems):
                 del marks[cut:]
             assert_sealed(st)
             assert_matches_rescan(st)
+
+
+CACHE_FIELDS = ("status", "tally", "budgets", "budget_break")
+
+
+def cache_snapshot(st) -> dict:
+    return {name: copy.deepcopy(getattr(st, name)) for name in CACHE_FIELDS}
+
+
+def bounded_walk(st, rng: random.Random, steps: int) -> None:
+    """Fix or zero random open cells with a bound after each step, marking
+    before each and now and then backing out to one of those marks."""
+    marks = []
+    for _ in range(steps):
+        open_cells = [
+            (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+        ]
+        if open_cells and (not marks or rng.random() < 0.7):
+            marks.append(st.mark())
+            fix_or_zero(st, rng, *rng.choice(open_cells), 0.6)
+        elif marks:
+            cut = rng.randrange(len(marks))
+            st.undo_to(marks[cut])
+            del marks[cut:]
+        st.bound()
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_undo_restores_the_bound_caches(q, mems):
+    """Backing out to a mark taken right after a bound gives back the
+    statuses, tallies, budgets and budget breaks of that bound, with no
+    bound in between."""
+    rng = random.Random(900 + 10 * q + (mems is DYADIC_MEMS))
+    moved = 0
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        # a prefix on the trail first, so that the mark is not always 0
+        for _ in range(rng.randint(0, 4)):
+            open_cells = [
+                (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+            ]
+            if open_cells:
+                fix_or_zero(st, rng, *rng.choice(open_cells), 0.6)
+        st.bound()
+        mark = st.mark()
+        before = cache_snapshot(st)
+        bounded_walk(st, rng, 25)
+        moved += cache_snapshot(st) != before
+        st.undo_to(mark)
+        assert cache_snapshot(st) == before
+        assert_matches_rescan(st)
+    assert moved > 0
+
+
+@pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
+def test_mark_taken_while_stale_keeps_those_entries_stale(q, mems):
+    """Cells fixed after the last bound, or with no bound yet, leave stale
+    statuses and budgets at the mark; backing out to it must not take the
+    values the walk's bounds computed in between for correct ones."""
+    rng = random.Random(1100 + 10 * q + (mems is DYADIC_MEMS))
+    for _ in range(12):
+        inst = walk_instance(rng, q, mems)
+        st = solver._State(inst)
+        if rng.random() < 0.7:
+            st.bound()
+        for _ in range(rng.randint(1, 4)):
+            open_cells = [
+                (v, k) for v in range(st.n) for k in range(st.K) if st.val[v][k] == -1
+            ]
+            if open_cells:
+                fix_or_zero(st, rng, *rng.choice(open_cells), 0.6)
+        mark = st.mark()
+        bounded_walk(st, rng, 25)
+        st.undo_to(mark)
+        assert st.bound() == rescan_bound(st)
+        assert_matches_rescan(st)
