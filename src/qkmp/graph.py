@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 #: Resampling bound when conditioning Erdos-Renyi draws on connectivity.
@@ -161,30 +160,55 @@ def generate_er(n: int, d: float, seed: int) -> Graph:
     yield the identical graph. Conditioning on connectivity biases the edge
     count upward relative to ``d``; the bias is documented, not corrected.
 
+    The pairs are drawn row by row, vertex i's pairs (i, j > i) for
+    i = 0, 1, ..., one ``random()`` each. Once row i is drawn no later draw
+    can give i an edge, so an attempt that leaves i isolated is refused
+    there, and the generator is moved past the attempt's remaining draws
+    without making them. Each attempt therefore starts at the same point of
+    the stream as if every pair had been drawn.
+
     Raises:
+        ValueError: n is not a whole number of at least 1 (see
+            ``as_count``), or d is not an int or float in [0, 1].
         UnsatisfiableDensityError: d = 0 with n >= 2 (no connected graph exists).
         RetryExhaustedError: no connected draw within
             ``CONNECTIVITY_RETRY_LIMIT`` attempts.
     """
+    n = as_count(n, "vertex count")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if type(d) not in (int, float):  # a bool or a string is no density
+        raise ValueError(f"density must be a number, got {d!r}")
     if not 0.0 <= d <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    if n >= 2 and d == 0.0:
+    if n == 1:
+        return Graph(n=1, edges=())
+    if d == 0.0:
         raise UnsatisfiableDensityError(
             f"no connected graph on {n} vertices has density 0"
         )
     rng = random.Random(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    draw = rng.random
     for _ in range(CONNECTIVITY_RETRY_LIMIT):
-        edges = tuple(pair for pair in pairs if rng.random() < d)
-        # most rejected draws leave a vertex isolated: refuse those before
-        # paying for a Graph
-        if n > 1 and len(set(chain.from_iterable(edges))) < n:
-            continue
-        g = Graph(n=n, edges=edges)
-        if is_connected(g):
-            return g
+        rows = []
+        touched = set()  # vertices that an earlier row gave an edge
+        for i in range(n):
+            row = [j for j in range(i + 1, n) if draw() < d]
+            rows.append(row)
+            if row:
+                touched.update(row)
+            elif i not in touched:
+                # i stays isolated. random() takes two 32-bit words of the
+                # Mersenne Twister and getrandbits(64 * rest) exactly 2 * rest
+                # (none for rest = 0), so this skips the attempt's remaining
+                # draws word for word.
+                rest = (n - 1 - i) * (n - 2 - i) // 2
+                rng.getrandbits(64 * rest)
+                break
+        else:
+            g = Graph(n=n, edges=[(i, j) for i, row in enumerate(rows) for j in row])
+            if is_connected(g):
+                return g
     raise RetryExhaustedError(
         f"no connected G({n}, {d}) draw in {CONNECTIVITY_RETRY_LIMIT} attempts"
         f" (seed {seed})"

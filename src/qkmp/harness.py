@@ -144,7 +144,9 @@ def run_experiment(cfg: ExperimentConfig, parallel_instances: int = 1) -> Experi
     serial or pooled: any exception an instance raises, and with a pool a
     worker that dies, which breaks the pool for every index still pending.
     The worker count changes scheduling only, never the per-instance results.
+    It must be a whole number (see ``as_count``) of at least 1.
     """
+    parallel_instances = as_count(parallel_instances, "parallel_instances")
     if parallel_instances < 1:
         raise ValueError("parallel_instances must be at least 1")
     indices = range(cfg.instance_count)

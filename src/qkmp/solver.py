@@ -850,11 +850,13 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     the lesser of the parent's and ``_State.bound``, counts none of the
     given-up edges. A node whose parent's bound no longer beats the
     incumbent is pruned without calling ``_State.bound``, and the call gets
-    the incumbent as its cutoff. After each placement the propagator fixes
-    forced zeros from capacity, neighborhood saturation and given-up edges;
-    a key at its usage limit is closed without any. Zero-completion of the
-    fixed pattern is always feasible and feeds the incumbent. On a time or node limit the best open-node bound
-    certifies the reported gap.
+    the incumbent as its cutoff; once the incumbent meets a node's bound,
+    its untried children are dropped unvisited. After each placement the
+    propagator fixes forced zeros from capacity, neighborhood saturation and
+    given-up edges; a key at its usage limit is closed without any.
+    Zero-completion of the fixed pattern is always feasible and feeds the
+    incumbent. On a time or node limit the best open-node bound certifies
+    the reported gap.
     """
     cfg = cfg or SolverConfig()
     start = time.perf_counter()
@@ -928,11 +930,14 @@ def solve_bb(inst: KmpInstance, cfg: SolverConfig | None = None) -> SolveResult:
         if out_of_nodes or time.perf_counter() - start > cfg.time_limit:
             result = FEASIBLE_TIMEOUT
             break
-        if pos == len(children):
+        if pos == len(children) or frame_bound <= best_obj:
+            # every child is tried, or the incumbent meets the frame's bound
+            # and no child can beat it
             stack.pop()
             given_up[e] = False
             if q >= 2:
-                for k in children[:-1]:
+                # the children before the last one tried are forbidden on e
+                for k in children[: pos - 1]:
                     forbidden[e].discard(k)
                     forbid_count[k] -= 1
             continue

@@ -11,7 +11,13 @@ import itertools
 import random
 
 from qkmp import solver
-from qkmp.graph import Graph, make_graph
+from qkmp.graph import (
+    CONNECTIVITY_RETRY_LIMIT,
+    Graph,
+    RetryExhaustedError,
+    UnsatisfiableDensityError,
+    make_graph,
+)
 from qkmp.ilp import IlpModel, build_ilp, x_name, y_name, z_name
 from qkmp.instance import (
     CAPACITY,
@@ -31,26 +37,50 @@ from qkmp.solver import OPTIMAL, SolveResult
 DYADIC_MEMS = (0.5, 1.0, 1.0, 2.0)
 
 
+def spans(n: int, edges) -> bool:
+    """True iff the edges connect all n >= 1 vertices (a local union-find)."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in range(n)}) == 1
+
+
 def connected_random_graph(rng: random.Random, n: int, prob: float) -> Graph:
     """Sample a connected simple graph without using the package generator."""
     if n == 1:
         return make_graph(1, [])
     while True:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < prob]
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        if len({find(v) for v in range(n)}) == 1:
+        if spans(n, edges):
             return make_graph(n, edges)
+
+
+def reference_generate_er(n: int, d: float, seed: int) -> Graph:
+    """``graph.generate_er`` drawn the straightforward way, as the reference.
+
+    Every attempt draws all n(n-1)/2 pairs in lexicographic order, one
+    ``random() < d`` each, and the first attempt that spans the vertices
+    within ``CONNECTIVITY_RETRY_LIMIT`` is the graph. Takes valid arguments
+    only, and raises the generator's exceptions.
+    """
+    if n >= 2 and d == 0.0:
+        raise UnsatisfiableDensityError(f"no connected graph on {n} vertices has density 0")
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(CONNECTIVITY_RETRY_LIMIT):
+        edges = [pair for pair in pairs if rng.random() < d]
+        if spans(n, edges):
+            return make_graph(n, edges)
+    raise RetryExhaustedError(f"no connected G({n}, {d}) draw in {CONNECTIVITY_RETRY_LIMIT} attempts")
 
 
 def random_small_instance(rng: random.Random) -> KmpInstance:

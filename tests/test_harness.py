@@ -218,6 +218,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(tiny_config(), parallel_instances=0)
 
+    @pytest.mark.parametrize("workers", [2.5, True, "2", None])
+    def test_refuses_a_worker_count_that_is_no_whole_number(self, workers):
+        # as solver and batch counts are: ValueError, not a TypeError from
+        # the pool, and a bool is not taken for 1
+        with pytest.raises(ValueError, match="parallel_instances"):
+            run_experiment(tiny_config(), parallel_instances=workers)
+
+    def test_takes_a_whole_number_float_worker_count(self):
+        cfg = tiny_config(instance_count=2)
+        strip = lambda rows: [dataclasses.replace(r, wall_time=0.0) for r in rows]
+        assert strip(run_experiment(cfg, 1.0).rows) == strip(run_experiment(cfg, 1).rows)
+
     def test_worker_exception_becomes_error_row(self):
         stats = run_experiment(failing_config(), parallel_instances=2)
         assert [r.seed for r in stats.rows] == [900, 901, 902, 903]

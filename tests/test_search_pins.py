@@ -20,7 +20,7 @@ from qkmp.solver import OPTIMAL, SolverConfig, brute_force, greedy_heuristic, so
 
 # (config, seed, node_limit, (status, lower_bound, upper_bound, nodes), incumbent digest)
 PINS = [
-    ("q1-4", 10400, 2000, ("OPTIMAL", 16, 16, 53), "b5370e00eba626b7"),
+    ("q1-4", 10400, 2000, ("OPTIMAL", 16, 16, 27), "b5370e00eba626b7"),
     ("q2-2", 20200, 2000, ("FEASIBLE_TIMEOUT", 14, 15, 2000), "d119f4271bb3dd12"),
     ("q2-5", 20500, 300, ("FEASIBLE_TIMEOUT", 22, 27, 300), "94bfb12e32f37f39"),
     ("q1-5", 10500, 1200, ("FEASIBLE_TIMEOUT", 27, 30, 1200), "14005d0d1b866533"),
@@ -30,24 +30,26 @@ PINS = [
 # every prove-small and grind-large solve of bench/workloads.py at its node
 # budget; PINS already holds q1-5/10500 at 1200. The first five were pinned
 # when the search began to branch on edges, the rest before the node bound's
-# caches were restored from a trail on backtrack
+# caches were restored from a trail on backtrack. The node counts of proved
+# solves fell when the search began to drop a frame whose bound the
+# incumbent meets before trying its next child
 BENCH_PINS = [
     ("q1-13", 11300, 150, ("FEASIBLE_TIMEOUT", 230, 240, 150), "fb6b8a9639cf0f76"),
-    ("q1-3", 10300, 3000, ("OPTIMAL", 17, 17, 110), "bd2645d5c3d753c2"),
-    ("q2-1", 20100, 3000, ("OPTIMAL", 12, 12, 335), "2898da2cee209808"),
-    ("q1-4", 10401, 3000, ("OPTIMAL", 26, 26, 946), "0cc5bb49dd97b2f1"),
-    ("q2-2", 20201, 3000, ("OPTIMAL", 18, 18, 1469), "41e4b2b5a964fb37"),
+    ("q1-3", 10300, 3000, ("OPTIMAL", 17, 17, 89), "bd2645d5c3d753c2"),
+    ("q2-1", 20100, 3000, ("OPTIMAL", 12, 12, 274), "2898da2cee209808"),
+    ("q1-4", 10401, 3000, ("OPTIMAL", 26, 26, 917), "0cc5bb49dd97b2f1"),
+    ("q2-2", 20201, 3000, ("OPTIMAL", 18, 18, 1374), "41e4b2b5a964fb37"),
     ("q1-3", 10301, 3000, ("OPTIMAL", 17, 17, 0), "3dc60f50cebaddff"),
     ("q1-3", 10302, 3000, ("OPTIMAL", 15, 15, 0), "620b25627db3016d"),
-    ("q1-3", 10303, 3000, ("OPTIMAL", 22, 22, 202), "8daf851809036a3e"),
-    ("q1-4", 10400, 3000, ("OPTIMAL", 16, 16, 53), "b5370e00eba626b7"),
+    ("q1-3", 10303, 3000, ("OPTIMAL", 22, 22, 176), "8daf851809036a3e"),
+    ("q1-4", 10400, 3000, ("OPTIMAL", 16, 16, 27), "b5370e00eba626b7"),
     ("q1-4", 10402, 3000, ("OPTIMAL", 15, 15, 0), "4dbb850c2ef1aa93"),
     ("q1-4", 10403, 3000, ("FEASIBLE_TIMEOUT", 25, 29, 3000), "e3c633f65bf680e2"),
     ("q2-1", 20101, 3000, ("OPTIMAL", 11, 11, 0), "1e1df462f4ade7ae"),
-    ("q2-1", 20102, 3000, ("OPTIMAL", 13, 13, 80), "27871929555432ae"),
+    ("q2-1", 20102, 3000, ("OPTIMAL", 13, 13, 26), "27871929555432ae"),
     ("q2-1", 20103, 3000, ("OPTIMAL", 11, 11, 0), "fbf340bee362463f"),
     ("q2-2", 20200, 3000, ("FEASIBLE_TIMEOUT", 14, 15, 3000), "d119f4271bb3dd12"),
-    ("q2-2", 20202, 3000, ("OPTIMAL", 14, 14, 789), "60cef49472d2b02a"),
+    ("q2-2", 20202, 3000, ("OPTIMAL", 14, 14, 734), "60cef49472d2b02a"),
     ("q2-2", 20203, 3000, ("FEASIBLE_TIMEOUT", 12, 13, 3000), "0ccdc6f62a9b1bcd"),
     ("q2-5", 20500, 2500, ("FEASIBLE_TIMEOUT", 22, 27, 2500), "94bfb12e32f37f39"),
     ("q2-13", 21300, 800, ("FEASIBLE_TIMEOUT", 73, 91, 800), "3ef2bfe15e92e077"),
