@@ -7,15 +7,14 @@ presolve or reduction, so exported files can be audited row by row against
 the mathematical model.
 
 ``IlpModel`` stores its rows as four columns (names, coefficient tuples,
-senses, rhs values); ``rows`` is a read-only view of them as ``LinearRow``s,
-made on first access and used by no code in this module. Every row and the
-objective keep their (position, coefficient) pairs in stable position order,
-without zeros, so a model's range check reads only the first and last
-position of each row. The public ``LinearRow`` constructor and both readers
-normalize every row they make; ``build_ilp`` makes its rows in that form
-already (see there). Variable and row names must be non-empty strings
-without whitespace, and a model name a string that neither spans lines nor
-ends in whitespace, so that both formats read every name back.
+senses, rhs values). Every row and the objective keep their (position,
+coefficient) pairs in stable position order, without zeros, so a model's
+range check reads only the first and last position of each row. The public
+``LinearRow`` constructor and both readers normalize every row they make;
+``build_ilp`` makes its rows in that form already (see there). Variable and
+row names must be non-empty strings without whitespace, and a model name a
+string that neither spans lines nor ends in whitespace, so that both formats
+read every name back.
 
 Serialization targets two standard text formats: free-layout MPS and
 CPLEX-style LP. The matching readers accept the layout these writers produce
@@ -40,7 +39,6 @@ and raise ``IlpFormatError`` on anything else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -142,7 +140,7 @@ def _check_names(names: tuple[str, ...], what: str) -> None:
 @dataclass(frozen=True, init=False)
 class IlpModel:
     """Pure-binary maximization model with named variables and rows, kept as
-    the columns ``row_*``; ``rows`` shows them as ``LinearRow``s."""
+    the columns ``row_*``."""
 
     name: str
     variables: tuple[str, ...]
@@ -191,11 +189,6 @@ class IlpModel:
         values = (name, variables, obj, names, coeffs, senses, rhs, index)
         for f, value in zip(self.__dataclass_fields__, values):
             object.__setattr__(self, f, value)
-
-    @cached_property
-    def rows(self) -> tuple[LinearRow, ...]:
-        """The rows as LinearRows, made on first access."""
-        return tuple(map(LinearRow, self.row_names, self.row_coeffs, self.row_senses, self.row_rhs))
 
     @property
     def num_variables(self) -> int:

@@ -246,9 +246,9 @@ class _State:
 
     Backing out needs no recount: while the cell trail is not empty, every
     status and budget that a bound overwrites leaves its old value on the
-    cache trail, and ``undo_to`` writes those values back. A mark records
-    where the cache trail stood and which statuses and budgets were stale,
-    so that the undo leaves those, and only those, stale again.
+    cache trail, and ``undo_to`` writes those values back. A mark is where
+    the cell trail and both cache trails stand, and every status and budget
+    is exact at it, so an undo to it leaves nothing stale.
     """
 
     def __init__(self, inst: KmpInstance):
@@ -309,11 +309,9 @@ class _State:
         self.stale_count_keys = set(range(self.K))  # recount k on every edge
         # the cache trail: the statuses and budgets that a bound overwrote
         # while the cell trail was not empty, as flat (e, k, old status) and
-        # (v, old budget, old break) triples, and per mark, their lengths and
-        # the stale statuses and budgets, None if there were none
+        # (v, old budget, old break) triples
         self.saved_status: list[int] = []
         self.saved_budgets: list[int] = []
-        self.marks: dict[int, tuple[int, int, tuple | None]] = {}
         # edges the search has given up (see give_up); bound() counts none
         self.given_up = [False] * len(self.edges)
 
@@ -480,37 +478,31 @@ class _State:
             elif row_j[k] == 1 and row_i[k] == -1:
                 self._zero(i, k, 1)
 
-    def mark(self) -> int:
-        """The trail length, for ``undo_to``. It also records where the
-        cache trail stands and which statuses and budgets are stale."""
-        stale = None
+    def mark(self) -> tuple[int, int, int]:
+        """Where the cell trail and both cache trails stand, for
+        ``undo_to``. It first brings any stale status or budget up to date,
+        so every cache is exact at a mark; the search marks right after a
+        bound, where none is stale."""
         if self.stale_cells or self.stale_count_keys or self.stale_vertices:
-            stale = (
-                set(self.stale_cells), set(self.stale_count_keys), set(self.stale_vertices)
-            )
-        self.marks[len(self.trail)] = (
-            len(self.saved_status), len(self.saved_budgets), stale
-        )
-        return len(self.trail)
+            self.edge_counts()
+            self.vertex_budgets()
+        return len(self.trail), len(self.saved_status), len(self.saved_budgets)
 
-    def undo_to(self, mark: int) -> None:
-        """Pop the trail back to ``mark``, making each popped cell
+    def undo_to(self, mark: tuple[int, int, int]) -> None:
+        """Pop the cell trail back to ``mark``, making each popped cell
         undecided, and write back every status and budget that a bound
-        overwrote since the mark. Those that were stale at the mark are
-        stale again; an undo to a length that no mark recorded leaves every
-        status and budget stale."""
+        overwrote since the mark. Each is exact at the mark, so none is
+        left stale."""
+        cells, status_start, budget_start = mark
         trail = self.trail
-        if len(trail) > mark:
+        if len(trail) > cells:
             val = self.val
-            for v, k in reversed(trail[mark:]):
+            for v, k in reversed(trail[cells:]):
                 if val[v][k] == 1:
                     self._move(v, k, -1)
                 else:
                     self._zero(v, k, -1)
-            del trail[mark:]
-        status_start, budget_start, stale = self.marks.get(mark) or (
-            0, 0, ((), range(self.K), range(self.n))
-        )
+            del trail[cells:]
         saved = self.saved_status
         if len(saved) > status_start:
             status, tally = self.status, self.tally
@@ -532,11 +524,6 @@ class _State:
         self.stale_cells.clear()
         self.stale_count_keys.clear()
         self.stale_vertices.clear()
-        if stale:
-            cells, keys, vertices = stale
-            self.stale_cells.update(cells)
-            self.stale_count_keys.update(keys)
-            self.stale_vertices.update(vertices)
 
     def materialize(self) -> tuple[tuple[int, ...], ...]:
         """Zero-completion of the current fixed pattern, read from the held

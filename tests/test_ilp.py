@@ -110,17 +110,17 @@ class TestBuildIlp:
 
     def test_link_row_scales_with_q(self):
         model = build_ilp(edge_instance(key_count=2, q=2))
-        link = next(r for r in model.rows if r.name == "link_0_1")
+        link = model.row_names.index("link_0_1")
         z_pos = model.var_index[z_name(0, 1)]
-        assert link.sense == SENSE_GE and link.rhs == 0.0
-        assert (z_pos, -2.0) in link.coeffs
+        assert model.row_senses[link] == SENSE_GE and model.row_rhs[link] == 0.0
+        assert (z_pos, -2.0) in model.row_coeffs[link]
 
     def test_neighborhood_rhs_matches_instance(self):
         inst = KmpInstance.uniform(PATH3, key_count=1, q=1, p=0.3, capacity=4.0, usage_limit=3)
         model = build_ilp(inst)
         for i in range(3):
-            row = next(r for r in model.rows if r.name == f"nbr_{i}_0")
-            assert row.rhs == inst.neighborhood_cap(i)
+            row = model.row_names.index(f"nbr_{i}_0")
+            assert model.row_rhs[row] == inst.neighborhood_cap(i)
 
     def test_objective_is_secure_edge_sum(self):
         inst = KmpInstance.uniform(TRIANGLE, key_count=1, q=1, p=1.0, capacity=1.0, usage_limit=3)

@@ -12,8 +12,9 @@ the search gave up may be left one key short of q with a cell open that
 would secure it. Walks of the heuristic's moves alone, ``can_hold`` /
 ``hold`` without ``fix``, must keep the same counters exact. Backing out to
 a mark must give back the cached statuses, tallies and budgets of that mark
-without a bound in between, and leave stale what was stale then. A key at
-its usage limit is closed: the rescans read its undecided cells as zeros.
+without a bound in between; a mark brings every stale one up to date
+first, so none is stale at it. A key at its usage limit is closed: the
+rescans read its undecided cells as zeros.
 """
 
 import copy
@@ -112,6 +113,7 @@ def test_random_walks_match_rescan(q, mems):
         inst = walk_instance(rng, q, mems)
         st = solver._State(inst)
         assert_matches_rescan(st)
+        root = st.mark()
         marks = []
         for _ in range(50):
             open_cells = [
@@ -133,7 +135,7 @@ def test_random_walks_match_rescan(q, mems):
                 st.undo_to(marks[cut])
                 del marks[cut:]
             assert_matches_rescan(st)
-        st.undo_to(0)
+        st.undo_to(root)
         assert_matches_rescan(st)
         assert snapshot(st) == snapshot(solver._State(inst))
     assert conflicts > 0
@@ -336,10 +338,10 @@ def test_undo_restores_the_bound_caches(q, mems):
 
 
 @pytest.mark.parametrize("q,mems", CASES, ids=CASE_IDS)
-def test_mark_taken_while_stale_keeps_those_entries_stale(q, mems):
+def test_mark_taken_while_stale_brings_the_caches_up_to_date(q, mems):
     """Cells fixed after the last bound, or with no bound yet, leave stale
-    statuses and budgets at the mark; backing out to it must not take the
-    values the walk's bounds computed in between for correct ones."""
+    statuses and budgets; a mark taken then recounts them first, so none is
+    stale at it, and backing out to it gives back those exact values."""
     rng = random.Random(1100 + 10 * q + (mems is DYADIC_MEMS))
     for _ in range(12):
         inst = walk_instance(rng, q, mems)
@@ -353,7 +355,12 @@ def test_mark_taken_while_stale_keeps_those_entries_stale(q, mems):
             if open_cells:
                 fix_or_zero(st, rng, *rng.choice(open_cells), 0.6)
         mark = st.mark()
+        assert not (st.stale_cells or st.stale_count_keys or st.stale_vertices)
+        assert st.vertex_budgets() == rescan_vertex_budgets(st)
+        assert [c[1:] for c in st.edge_counts()] == rescan_edge_counts(st)
+        at_mark = cache_snapshot(st)
         bounded_walk(st, rng, 25)
         st.undo_to(mark)
+        assert cache_snapshot(st) == at_mark
         assert st.bound() == rescan_bound(st)
         assert_matches_rescan(st)
