@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DisconnectedGraphError, Graph, is_connected, make_graph
-from .instance import KeyAssignment, KmpInstance, derive_z, evaluate
+from .graph import DisconnectedGraphError, Graph, components, is_connected, make_graph
+from .instance import KeyAssignment, KmpInstance, Violation, derive_z, evaluate
 
 
 @dataclass(frozen=True)
@@ -34,23 +34,8 @@ def secure_graph(inst: KmpInstance, a: KeyAssignment) -> SecureGraph:
     Components are labeled 0, 1, ... in order of their smallest vertex.
     """
     z = derive_z(inst, a)
-    kept = tuple(e for e in inst.graph.edges if z[e])
-    g = make_graph(inst.graph.n, kept)
-    labels = [-1] * g.n
-    next_label = 0
-    for s in range(g.n):
-        if labels[s] != -1:
-            continue
-        labels[s] = next_label
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in g.adjacency[u]:
-                if labels[w] == -1:
-                    labels[w] = next_label
-                    queue.append(w)
-        next_label += 1
-    return SecureGraph(graph=g, component=tuple(labels))
+    g = make_graph(inst.graph.n, (e for e in inst.graph.edges if z[e]))
+    return SecureGraph(graph=g, component=components(g))
 
 
 def key_path_connected(sg: SecureGraph) -> bool:
@@ -85,6 +70,7 @@ class AssignmentReport:
     key_pool_size: int
     naive_key_count: int
     additional_keys_needed: int
+    violations: tuple[Violation, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +84,10 @@ class AssignmentReport:
             "key_pool_size": self.key_pool_size,
             "naive_key_count": self.naive_key_count,
             "additional_keys_needed": self.additional_keys_needed,
+            "violations": [
+                {"constraint": v.constraint, "index": list(v.index), "lhs": v.lhs, "rhs": v.rhs}
+                for v in self.violations
+            ],
         }
 
     def format_text(self) -> str:
@@ -110,6 +100,10 @@ class AssignmentReport:
             f"key usage: {list(self.key_usage)}",
             f"naive pairwise baseline: {self.naive_key_count} keys"
             f" (pool {self.key_pool_size}, extra {self.additional_keys_needed})",
+        ]
+        lines += [
+            f"violated {v.constraint} at {tuple(v.index)}: {v.lhs} exceeds {v.rhs}"
+            for v in self.violations
         ]
         return "\n".join(lines) + "\n"
 
@@ -135,4 +129,5 @@ def assignment_report(inst: KmpInstance, a: KeyAssignment) -> AssignmentReport:
         key_pool_size=K,
         naive_key_count=naive,
         additional_keys_needed=max(0, naive - K),
+        violations=report.violations,
     )

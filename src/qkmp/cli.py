@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, harness, ilp, solver
 from .graph import GraphError
-from .instance import KeyAssignment, KmpInstance, evaluate
+from .instance import KeyAssignment, KmpInstance
 
 
 def _read_json(path: str) -> dict:
@@ -75,23 +75,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = KmpInstance.from_json_dict(_read_json(args.instance))
     assignment = KeyAssignment.from_json_dict(_read_json(args.assignment))
-    report = evaluate(inst, assignment)
-    full = analysis.assignment_report(inst, assignment)
-    if args.json:
-        payload = full.to_json_dict()
-        payload["violations"] = [
-            {"constraint": v.constraint, "index": list(v.index), "lhs": v.lhs, "rhs": v.rhs}
-            for v in report.violations
-        ]
-        _write_text(args.out, _dump_json(payload))
-    else:
-        text = full.format_text()
-        for v in report.violations:
-            text += (
-                f"violated {v.constraint} at {tuple(v.index)}:"
-                f" {v.lhs} exceeds {v.rhs}\n"
-            )
-        _write_text(args.out, text)
+    report = analysis.assignment_report(inst, assignment)
+    _write_text(args.out, _dump_json(report.to_json_dict()) if args.json else report.format_text())
     return 0 if report.feasible else 2
 
 

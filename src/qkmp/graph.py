@@ -7,12 +7,11 @@ safe to share between threads; generation keeps no global state.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 #: Resampling bound when conditioning Erdos-Renyi draws on connectivity.
-CONNECTIVITY_RETRY_LIMIT = 10_000
+CONNECTIVITY_RETRY_LIMIT = 100_000
 
 
 def as_count(value, what: str) -> int:
@@ -136,19 +135,28 @@ def density(g: Graph) -> float:
     return 2.0 * g.edge_count / (g.n * (g.n - 1))
 
 
+def components(g: Graph) -> tuple[int, ...]:
+    """Component label per vertex, 0, 1, ... in order of each component's
+    smallest vertex."""
+    labels = [-1] * g.n
+    label = 0
+    for s in range(g.n):
+        if labels[s] != -1:
+            continue
+        labels[s] = label
+        stack = [s]
+        while stack:
+            for w in g.adjacency[stack.pop()]:
+                if labels[w] == -1:
+                    labels[w] = label
+                    stack.append(w)
+        label += 1
+    return tuple(labels)
+
+
 def is_connected(g: Graph) -> bool:
-    """True iff a traversal from vertex 0 reaches every vertex (true for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    """True iff every vertex is in vertex 0's component (true for n <= 1)."""
+    return not any(components(g))
 
 
 def generate_er(n: int, d: float, seed: int) -> Graph:

@@ -297,36 +297,52 @@ def _number(token: str) -> float:
 
 
 def _assemble(
-    name, declared, position, columns, objective, names, senses, rhs, entries
+    name, declared, position, missed, objective, names, senses, rhs, entries
 ) -> IlpModel:
     """The model a reader parsed, checked the same way for both formats.
 
     ``declared`` lists the binary variables in file order, which is the
     model's variable order, and ``position`` maps each of them to its place
-    there. The objective and each row's entries are lists of (id, value)
-    pairs. An id is a position in ``declared``, except for the variables in
-    ``columns``, which maps them to their ids: MPS gives every variable that
-    the objective or a row uses a provisional id in first-seen order, while
-    LP looks its names up in ``position`` and lists only those it missed.
-    The rows come as the columns ``names``, ``senses``, ``rhs`` and
-    ``entries``.
+    there. Both readers look every entry's name up in ``position`` and list
+    the names it lacks in ``missed``, in the order of use; the first of them
+    is refused. The objective and each row's entries are lists of (position,
+    value) pairs. The rows come as the columns ``names``, ``senses``,
+    ``rhs`` and ``entries``.
     """
     if len(position) != len(declared):
         twice = next(v for pos, v in enumerate(declared) if position[v] != pos)
         raise IlpFormatError(f"duplicate variable {twice!r}")
-    pos_of = []
-    for col in columns:
-        if col not in position:
-            raise IlpFormatError(f"column {col!r} has no BV bound or Binary entry")
-        pos_of.append(position[col])
-    if pos_of != list(range(len(pos_of))):
-        objective = [(pos_of[i], v) for i, v in objective]
-        entries = [[(pos_of[i], v) for i, v in pairs] for pairs in entries]
+    if missed:
+        raise IlpFormatError(f"column {missed[0]!r} has no BV bound or Binary entry")
     coeffs = [_normalized(tuple(pairs)) for pairs in entries]
     try:
         return IlpModel._of_columns(name, declared, tuple(objective), names, coeffs, senses, rhs)
     except ValueError as exc:  # such as a duplicate row name
         raise IlpFormatError(str(exc)) from exc
+
+
+def _index(lines: list[str], line: str, start: int) -> int:
+    # where line first occurs in lines from start on, or len(lines)
+    try:
+        return lines.index(line, start)
+    except ValueError:
+        return len(lines)
+
+
+def _section_lines(lines: list[str], header: str, headers: Iterable[str]) -> list[str]:
+    """The indented lines of every section that ``header`` opens, in order.
+
+    A section runs from its header line to the next line that is one of
+    ``headers``. Lines there that do not start with a space are left to
+    the readers' main pass.
+    """
+    found: list[str] = []
+    at = _index(lines, header, 0)
+    while at < len(lines):
+        end = min(_index(lines, other, at + 1) for other in headers)
+        found += [raw for raw in lines[at + 1 : end] if raw[:1] == " "]
+        at = _index(lines, header, end)
+    return found
 
 
 # --- MPS ---
@@ -367,18 +383,26 @@ def write_mps(m: IlpModel) -> str:
 
 
 def read_mps(text: str) -> IlpModel:
-    """Parse MPS text in the layout of write_mps back into an equal model."""
+    """Parse MPS text in the layout of write_mps back into an equal model.
+
+    The BV names are read ahead of the columns, although they come last, so
+    that every entry gets its variable position in one lookup.
+    """
     name = section = ""
     fields = 0
     maximize = has_objective = False
-    columns: dict[str, int] = {}
+    lines = text.splitlines()
+    # a malformed BOUNDS line may add a name here; the main pass refuses it
+    bounds = _section_lines(lines, "BOUNDS", _MPS_FIELDS)
+    declared = [v for raw in bounds for v in raw.split()[2:3]]
+    position = {v: pos for pos, v in enumerate(declared)}
+    missed: list[str] = []  # undeclared names, in the order of use
     objective: list[tuple[int, float]] = []
     # name, sense, rhs and entries of each row, the objective's at index 0
     names, senses, rhs, entries = [OBJ_ROW_NAME], [None], [0.0], [objective]
     row_of = {OBJ_ROW_NAME: 0}  # row name -> index into those four lists
-    declared: list[str] = []
     value = _Table(_number)  # each distinct value token parsed once
-    for raw in text.splitlines():
+    for raw in lines:
         if raw[:1] != " ":
             if raw in _MPS_FIELDS:
                 section, fields = raw, _MPS_FIELDS[raw]
@@ -399,7 +423,10 @@ def read_mps(text: str) -> IlpModel:
             if at is None:
                 raise IlpFormatError(f"{section} entry for undeclared row {tokens[1]!r}")
             if section == "COLUMNS":
-                entries[at].append((columns.setdefault(tokens[0], len(columns)), value[tokens[2]]))
+                pos = position.get(tokens[0], -1)
+                if pos < 0:
+                    missed.append(tokens[0])
+                entries[at].append((pos, value[tokens[2]]))
             elif not at:  # a model holds no objective constant
                 raise IlpFormatError(f"RHS entry for the objective row: {raw!r}")
             else:
@@ -416,11 +443,9 @@ def read_mps(text: str) -> IlpModel:
                 entries.append([])
             else:
                 raise IlpFormatError(f"unsupported row type {kind!r}")
-        elif section == "BOUNDS":
-            declared.append(tokens[2])
         elif tokens == ["MAX"]:
             maximize = True
-        else:
+        elif section != "BOUNDS":  # BV lines were read ahead
             raise IlpFormatError("only maximization models are supported")
     if section != "ENDATA":
         raise IlpFormatError("text does not end with ENDATA")
@@ -429,8 +454,7 @@ def read_mps(text: str) -> IlpModel:
     if not maximize:
         raise IlpFormatError("only maximization models are supported")
     rows = names[1:], senses[1:], rhs[1:], entries[1:]
-    position = {v: pos for pos, v in enumerate(declared)}
-    return _assemble(name, declared, position, columns, objective, *rows)
+    return _assemble(name, declared, position, missed, objective, *rows)
 
 
 # --- CPLEX-style LP ---
@@ -482,30 +506,6 @@ def write_lp(m: IlpModel) -> str:
 _LP_SECTIONS = ("Maximize", "Subject To", "Binary", "End")
 
 
-def _index(lines: list[str], line: str, start: int) -> int:
-    # where line first occurs in lines from start on, or len(lines)
-    try:
-        return lines.index(line, start)
-    except ValueError:
-        return len(lines)
-
-
-def _lp_binaries(lines: list[str]) -> list[str]:
-    """The names that the Binary sections of LP lines declare, in order.
-
-    A section runs from its header line to the next header line. Lines
-    there that do not start with a space declare nothing; read_lp refuses
-    them in line order.
-    """
-    declared: list[str] = []
-    at = _index(lines, "Binary", 0)
-    while at < len(lines):
-        end = min(_index(lines, header, at + 1) for header in _LP_SECTIONS)
-        declared += [raw[1:] for raw in lines[at + 1 : end] if raw[:1] == " "]
-        at = _index(lines, "Binary", end)
-    return declared
-
-
 def read_lp(text: str) -> IlpModel:
     """Parse LP text in the layout of write_lp back into an equal model.
 
@@ -514,9 +514,9 @@ def read_lp(text: str) -> IlpModel:
     """
     name = section = ""
     lines = text.splitlines()
-    declared = _lp_binaries(lines)
+    declared = [raw[1:] for raw in _section_lines(lines, "Binary", _LP_SECTIONS)]
     position = {v: pos for pos, v in enumerate(declared)}
-    missed: dict[str, int] = {}  # names used but not declared, in first-seen order
+    missed: list[str] = []  # undeclared names, in the order of use
     objective: list[tuple[int, float]] | None = None
     rows: list[tuple] = []
     value = _Table(_number)  # each distinct number token parsed once
@@ -543,16 +543,16 @@ def read_lp(text: str) -> IlpModel:
                         raise IlpFormatError(f"expected '+' or '-' in {raw!r}")
                     c = -c
                 if c:  # rows hold no zeros, so a zero term is the empty-row filler
-                    pos = position.get(tokens[at + 1])
-                    if pos is None:
-                        pos = missed.setdefault(tokens[at + 1], -1)
+                    pos = position.get(tokens[at + 1], -1)
+                    if pos < 0:
+                        missed.append(tokens[at + 1])
                     entries.append((pos, c))
             if section == "Maximize":
                 objective = entries
             else:
                 rows.append((tokens[0][:-1], tokens[end], value[tokens[-1]], entries))
         elif section == "Binary" and raw[:1] == " ":
-            pass  # read ahead by _lp_binaries
+            pass  # read ahead
         elif not section and raw[:7] == "\\ name=":
             name = raw[7:]
         else:

@@ -377,6 +377,26 @@ def isolated_node_scenario():
     return inst, KeyAssignment.from_rows(rows)
 
 
+def every_violation_scenario():
+    """A star that breaks each constraint family exactly once.
+
+    Hub 0 holds both keys (1.5 > capacity 1.0), and all three leaves hold key
+    0 as well (3 neighbours > 0.3 * 3 + 1 at the hub, 4 holders > limit 3).
+    """
+    g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    inst = KmpInstance(
+        graph=g,
+        key_count=2,
+        q=1,
+        p=0.3,
+        alpha=1,
+        mem_per_key=(1.0, 0.5),
+        capacity=(1.0, 2.0, 2.0, 2.0),
+        usage_limit=(3, 4),
+    )
+    return inst, KeyAssignment.from_rows([[1, 1], [1, 0], [1, 0], [1, 1]])
+
+
 # --- from-scratch references for the incremental counters of solver._State ---
 
 

@@ -14,7 +14,12 @@ from qkmp.graph import DisconnectedGraphError, make_graph
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 from qkmp.solver import greedy_heuristic
 
-from helpers import indirect_link_scenario, isolated_node_scenario, random_small_instance
+from helpers import (
+    every_violation_scenario,
+    indirect_link_scenario,
+    isolated_node_scenario,
+    random_small_instance,
+)
 
 
 def path_graph(n):
@@ -155,9 +160,18 @@ class TestAssignmentReport:
             "key_pool_size",
             "naive_key_count",
             "additional_keys_needed",
+            "violations",
         }
         assert d == json.loads(json.dumps(d))
         assert d["key_usage"] == [2, 2, 2, 1]
+        assert d["violations"] == []
+        bad = assignment_report(*every_violation_scenario()).to_json_dict()
+        assert bad == json.loads(json.dumps(bad))
+        assert bad["violations"] == [
+            {"constraint": "CAPACITY", "index": [0], "lhs": 1.5, "rhs": 1.0},
+            {"constraint": "NEIGHBORHOOD_USE", "index": [0, 0], "lhs": 3, "rhs": 1.9},
+            {"constraint": "GLOBAL_USE", "index": [0], "lhs": 4, "rhs": 3},
+        ]
 
     def test_format_text(self):
         inst, a = isolated_node_scenario()

@@ -10,10 +10,13 @@ import pytest
 
 import qkmp
 from qkmp import ilp, solver
-from qkmp.cli import main
+from qkmp.analysis import assignment_report
+from qkmp.cli import _dump_json, main
 from qkmp.harness import get_config, run_single
 from qkmp.instance import KeyAssignment, KmpInstance, evaluate
 from qkmp.solver import solve_bb, SolverConfig
+
+from helpers import every_violation_scenario, isolated_node_scenario
 
 GEN_ARGS = [
     "gen", "--n", "6", "--density", "0.5", "--keys", "3", "--q", "1",
@@ -26,6 +29,15 @@ def gen_instance_file(tmp_path, name="inst.json"):
     rc = main(GEN_ARGS + ["--out", str(path)])
     assert rc == 0
     return path
+
+
+def write_scenario(tmp_path, scenario):
+    """A helper scenario's instance and assignment, and their JSON paths."""
+    inst, a = scenario()
+    paths = [str(tmp_path / "inst.json"), str(tmp_path / "a.json")]
+    for path, obj in zip(paths, (inst, a)):
+        Path(path).write_text(json.dumps(obj.to_json_dict()))
+    return inst, a, paths
 
 
 class TestGen:
@@ -219,6 +231,115 @@ class TestExport:
         assert ilp.read_lp(text) == ilp.build_ilp(inst)
 
 
+# `qkmp validate` output, byte for byte: isolated_node_scenario is feasible,
+# and every_violation_scenario breaks each constraint family once
+VALIDATE_FEASIBLE_TEXT = (
+    "feasible: yes\n"
+    "secure edges: 3\n"
+    "secure components: 2\n"
+    "key path connected: no\n"
+    "ring sizes: [2, 2, 2, 1]\n"
+    "key usage: [2, 2, 2, 1]\n"
+    "naive pairwise baseline: 3 keys (pool 4, extra 0)\n"
+)
+VALIDATE_FEASIBLE_JSON = (
+    "{\n"
+    '  "feasible": true,\n'
+    '  "objective": 3,\n'
+    '  "key_usage": [\n'
+    "    2,\n"
+    "    2,\n"
+    "    2,\n"
+    "    1\n"
+    "  ],\n"
+    '  "ring_sizes": [\n'
+    "    2,\n"
+    "    2,\n"
+    "    2,\n"
+    "    1\n"
+    "  ],\n"
+    '  "memory_used": [\n'
+    "    2.0,\n"
+    "    2.0,\n"
+    "    2.0,\n"
+    "    1.0\n"
+    "  ],\n"
+    '  "component_count": 2,\n'
+    '  "key_path_connected": false,\n'
+    '  "key_pool_size": 4,\n'
+    '  "naive_key_count": 3,\n'
+    '  "additional_keys_needed": 0,\n'
+    '  "violations": []\n'
+    "}\n"
+)
+VALIDATE_INFEASIBLE_TEXT = (
+    "feasible: no\n"
+    "secure edges: 3\n"
+    "secure components: 1\n"
+    "key path connected: yes\n"
+    "ring sizes: [2, 1, 1, 2]\n"
+    "key usage: [4, 2]\n"
+    "naive pairwise baseline: 3 keys (pool 2, extra 1)\n"
+    "violated CAPACITY at (0,): 1.5 exceeds 1.0\n"
+    "violated NEIGHBORHOOD_USE at (0, 0): 3 exceeds 1.9\n"
+    "violated GLOBAL_USE at (0,): 4 exceeds 3\n"
+)
+VALIDATE_INFEASIBLE_JSON = (
+    "{\n"
+    '  "feasible": false,\n'
+    '  "objective": 3,\n'
+    '  "key_usage": [\n'
+    "    4,\n"
+    "    2\n"
+    "  ],\n"
+    '  "ring_sizes": [\n'
+    "    2,\n"
+    "    1,\n"
+    "    1,\n"
+    "    2\n"
+    "  ],\n"
+    '  "memory_used": [\n'
+    "    1.5,\n"
+    "    1.0,\n"
+    "    1.0,\n"
+    "    1.5\n"
+    "  ],\n"
+    '  "component_count": 1,\n'
+    '  "key_path_connected": true,\n'
+    '  "key_pool_size": 2,\n'
+    '  "naive_key_count": 3,\n'
+    '  "additional_keys_needed": 1,\n'
+    '  "violations": [\n'
+    "    {\n"
+    '      "constraint": "CAPACITY",\n'
+    '      "index": [\n'
+    "        0\n"
+    "      ],\n"
+    '      "lhs": 1.5,\n'
+    '      "rhs": 1.0\n'
+    "    },\n"
+    "    {\n"
+    '      "constraint": "NEIGHBORHOOD_USE",\n'
+    '      "index": [\n'
+    "        0,\n"
+    "        0\n"
+    "      ],\n"
+    '      "lhs": 3,\n'
+    '      "rhs": 1.9\n'
+    "    },\n"
+    "    {\n"
+    '      "constraint": "GLOBAL_USE",\n'
+    '      "index": [\n'
+    "        0\n"
+    "      ],\n"
+    '      "lhs": 4,\n'
+    '      "rhs": 3\n'
+    "    }\n"
+    "  ]\n"
+    "}\n"
+)
+
+
 class TestValidate:
     def setup_files(self, tmp_path):
         path = gen_instance_file(tmp_path)
@@ -263,6 +384,26 @@ class TestValidate:
         assert payload["violations"]
         first = payload["violations"][0]
         assert set(first) == {"constraint", "index", "lhs", "rhs"}
+
+    @pytest.mark.parametrize(
+        "scenario, flags, code, expected",
+        [
+            (isolated_node_scenario, [], 0, VALIDATE_FEASIBLE_TEXT),
+            (isolated_node_scenario, ["--json"], 0, VALIDATE_FEASIBLE_JSON),
+            (every_violation_scenario, [], 2, VALIDATE_INFEASIBLE_TEXT),
+            (every_violation_scenario, ["--json"], 2, VALIDATE_INFEASIBLE_JSON),
+        ],
+    )
+    def test_output_bytes(self, tmp_path, capsys, scenario, flags, code, expected):
+        _, _, paths = write_scenario(tmp_path, scenario)
+        assert main(["validate", *paths, *flags]) == code
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("scenario", [isolated_node_scenario, every_violation_scenario])
+    def test_json_output_is_the_library_report(self, tmp_path, capsys, scenario):
+        inst, a, paths = write_scenario(tmp_path, scenario)
+        main(["validate", *paths, "--json"])
+        assert capsys.readouterr().out == _dump_json(assignment_report(inst, a).to_json_dict())
 
     def test_malformed_assignment(self, tmp_path, capsys):
         inst = gen_instance_file(tmp_path)

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
-from helpers import reference_generate_er
+from helpers import reference_generate_er, spans
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,12 +12,13 @@ from qkmp.graph import (
     CONNECTIVITY_RETRY_LIMIT,
     Graph,
     UnsatisfiableDensityError,
+    components,
     density,
     generate_er,
     is_connected,
     make_graph,
 )
-from qkmp.harness import builtin_tables
+from qkmp.harness import builtin_tables, get_config
 
 # Conditional mean edge count of G(10, 0.2) given connectivity, estimated
 # by an independent rejection sampler over 10^5 draws (Random(20260821)).
@@ -68,6 +71,39 @@ def test_is_connected_examples():
     assert not is_connected(make_graph(4, [(0, 1), (0, 2), (1, 2)]))
 
 
+def union_find_labels(n, edges):
+    """Component labels from a union-find, numbered in order of each
+    component's smallest vertex."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    label_of: dict[int, int] = {}
+    return tuple(label_of.setdefault(find(v), len(label_of)) for v in range(n))
+
+
+def test_components_match_a_union_find():
+    rng = random.Random(2500)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        d = rng.choice([0.0, 0.1, 0.2, 0.4, 0.8])
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < d]
+        g = make_graph(n, edges)
+        assert components(g) == union_find_labels(n, edges)
+        assert is_connected(g) == (n == 0 or spans(n, edges))
+
+
+def test_components_examples():
+    assert components(make_graph(0, [])) == ()
+    assert components(make_graph(1, [])) == (0,)
+    assert components(make_graph(5, [(1, 4), (2, 3)])) == (0, 1, 2, 2, 1)
+
+
 class TestGenerateEr:
     def test_singleton(self):
         g = generate_er(1, 0.5, seed=7)
@@ -94,7 +130,16 @@ class TestGenerateEr:
         assert a != c  # overwhelmingly likely for distinct seeds
 
     def test_retry_cap_is_finite(self):
-        assert CONNECTIVITY_RETRY_LIMIT == 10_000
+        assert CONNECTIVITY_RETRY_LIMIT == 100_000
+
+    @pytest.mark.parametrize("seed", [10517, 10530, 10551, 10585])
+    def test_q1_5_seeds_that_need_over_10_000_attempts_generate(self, seed):
+        # each of these full-protocol q1-5 seeds finds its first connected
+        # draw after 10,100 to 19,959 attempts
+        cfg = get_config("q1-5")
+        g = generate_er(cfg.n, cfg.d, seed)
+        assert g.n == cfg.n
+        assert spans(g.n, g.edges)
 
     def test_samples_connected_and_simple(self):
         for seed in range(40):
@@ -137,7 +182,7 @@ def er_outcome(generate, n, d, seed):
 # straightforward sampler puts it, on every Python the suite runs on
 @pytest.mark.parametrize("n", range(1, 6))
 def test_generate_er_matches_the_reference_sampler(n):
-    # n <= 5 keeps the retry-exhausted cases (10,000 attempts each) cheap
+    # n <= 5 keeps the retry-exhausted cases (100,000 attempts each) cheap
     for d in (0.0, 0.01, 0.03, 0.05, 0.1, 0.2, 0.5, 1.0):
         for seed in range(5):
             assert er_outcome(generate_er, n, d, seed) == er_outcome(
